@@ -7,8 +7,9 @@ import time
 from conftest import BENCH_SCALE, BENCH_SEED, OUTPUT_DIR, run_once, write_artifact
 
 from repro.measure.crawl import Crawler
-from repro.measure.engine import CrawlEngine, FaultInjectingExecutor, shard_of
+from repro.measure.engine import CrawlEngine, shard_of
 from repro.webgen import build_world
+from tests.support.faults import FaultInjectingExecutor
 
 #: Simulated per-request RTT for the parallel-engine benchmark.  Real
 #: crawls are network-bound; the netsim is compute-bound unless this is
@@ -19,8 +20,7 @@ _PARALLEL_WORKERS = 4
 _SAMPLE_SIZE = 200
 
 #: CI gate: on a multi-core box the process executor must beat the
-#: thread executor by at least this factor on the compute-bound world
-#: (threads serialise on the GIL there; processes do not).
+#: serial executor by at least this factor on the compute-bound world.
 _PROCESS_SPEEDUP_FLOOR = 1.1
 #: Tasks in the compute-bound executor benchmark — enough that the
 #: process pool's startup cost is noise against the crawl itself.
@@ -108,16 +108,15 @@ def test_parallel_crawl_speedup(benchmark):
 
 
 def test_executor_backend_speedup(benchmark):
-    """Thread vs process executor on a **compute-bound** world.
+    """Serial vs process executor on a **compute-bound** world.
 
-    The netsim at zero latency is pure Python compute, so thread
-    workers serialise on the GIL while process workers genuinely
-    parallelise — the regime PR 4's indexed hot paths left the
-    pipeline in.  Writes ``benchmarks/output/BENCH_executors.json``
-    (serial/thread/process tasks-per-sec, the process-vs-thread
-    ratio, and the gated floor) and asserts the floor whenever the
-    machine has the cores to parallelise at all; the records must be
-    identical across backends regardless.
+    The netsim at zero latency is pure Python compute, which only
+    worker processes parallelise.  Writes
+    ``benchmarks/output/BENCH_executors.json`` (serial/process
+    tasks-per-sec, the process-vs-serial ratio, and the gated floor)
+    and asserts the floor whenever the machine has the cores to
+    parallelise at all; the records must be identical across backends
+    regardless.
     """
     world = build_world(scale=0.05, seed=BENCH_SEED)
     assert world.network.latency == 0.0  # compute-bound by construction
@@ -127,7 +126,7 @@ def test_executor_backend_speedup(benchmark):
 
     # Warm the module-wide parse/filter caches once so the serial leg
     # (which runs first) is not unfairly charged for populating them;
-    # forked process workers inherit the warm caches just like threads.
+    # forked process workers inherit the warm caches.
     CrawlEngine(crawler).execute(plan)
 
     def timed(backend, workers):
@@ -141,7 +140,6 @@ def test_executor_backend_speedup(benchmark):
         return result, len(plan) / elapsed
 
     serial_result, serial_rate = timed("serial", 1)
-    thread_result, thread_rate = timed("thread", _PARALLEL_WORKERS)
 
     def process_run():
         return timed("process", _PARALLEL_WORKERS)
@@ -151,12 +149,11 @@ def test_executor_backend_speedup(benchmark):
     )
 
     # Determinism across backends (detection records are id-agnostic,
-    # so the serial run matches the per-task-id parallel ones too).
+    # so the serial run matches the per-task-id process run too).
     baseline = [r.to_dict() for r in serial_result.records]
-    assert [r.to_dict() for r in thread_result.records] == baseline
     assert [r.to_dict() for r in process_result.records] == baseline
 
-    speedup = process_rate / thread_rate
+    speedup = process_rate / serial_rate
     cpus = os.cpu_count() or 1
     payload = {
         "meta": {
@@ -168,10 +165,8 @@ def test_executor_backend_speedup(benchmark):
         },
         "compute_bound": {
             "serial_tasks_per_sec": round(serial_rate, 1),
-            "thread_tasks_per_sec": round(thread_rate, 1),
             "process_tasks_per_sec": round(process_rate, 1),
-            "process_vs_thread": round(speedup, 3),
-            "process_vs_serial": round(process_rate / serial_rate, 3),
+            "process_vs_serial": round(speedup, 3),
             "floor": _PROCESS_SPEEDUP_FLOOR,
             "floor_enforced": cpus >= 2,
         },
@@ -186,9 +181,8 @@ def test_executor_backend_speedup(benchmark):
         f"compute-bound sample: {len(plan)} tasks, "
         f"{_PARALLEL_WORKERS} workers, {cpus} cpus\n"
         f"serial:  {serial_rate:.1f} tasks/sec\n"
-        f"thread:  {thread_rate:.1f} tasks/sec\n"
         f"process: {process_rate:.1f} tasks/sec\n"
-        f"process vs thread: {speedup:.2f}x (floor "
+        f"process vs serial: {speedup:.2f}x (floor "
         f"{_PROCESS_SPEEDUP_FLOOR}x, "
         f"{'enforced' if cpus >= 2 else 'not enforced: single cpu'})",
     )
@@ -197,7 +191,7 @@ def test_executor_backend_speedup(benchmark):
     # meaningful (CI runners are multi-core).
     if cpus >= 2:
         assert speedup >= _PROCESS_SPEEDUP_FLOOR, (
-            f"process executor no faster than threads on a compute-bound "
+            f"process executor no faster than serial on a compute-bound "
             f"world: {speedup:.2f}x < {_PROCESS_SPEEDUP_FLOOR}x"
         )
 
@@ -236,7 +230,7 @@ def test_checkpoint_resume_speedup(benchmark, tmp_path):
     crashed = CrawlEngine(
         crawler, workers=_PARALLEL_WORKERS, shards=shards,
         spool_path=out, checkpoint_path=checkpoint,
-        executor=FaultInjectingExecutor(_PARALLEL_WORKERS, victims),
+        executor=FaultInjectingExecutor(victims),
     )
     try:
         crashed.execute(plan)

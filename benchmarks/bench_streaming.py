@@ -24,9 +24,10 @@ from conftest import BENCH_SEED, OUTPUT_DIR, run_once, write_artifact
 
 from repro.analysis.streaming import StreamingCrawlAnalysis
 from repro.measure.crawl import Crawler
-from repro.measure.engine import CrawlEngine, FaultInjectingExecutor
+from repro.measure.engine import CrawlEngine
 from repro.measure.storage import iter_jsonl
 from repro.webgen import build_world
+from tests.support.faults import FaultInjectingExecutor
 
 #: CI gate: the single-pass analysis must sustain at least this many
 #: records/sec (pure-Python dict aggregation; local runs sustain
@@ -118,7 +119,7 @@ def test_streaming_reconcile_memory(benchmark, tmp_path):
     crashed = CrawlEngine(
         crawler, workers=_RESUME_WORKERS, shards=_RESUME_SHARDS,
         merge="spool", spool_path=out, checkpoint_path=checkpoint,
-        executor=FaultInjectingExecutor(_RESUME_WORKERS, victims),
+        executor=FaultInjectingExecutor(victims),
     )
     try:
         crashed.execute(plan)

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, Mapping, MutableMapping, Optional, Tuple, Union
 
+from repro.measure.engine import EXECUTOR_BACKENDS, MERGE_MODES
 from repro.resilience.chaos import ChaosSpec as _ChaosPlaneSpec
 
 #: Campaign kinds a :class:`RunSpec` can describe, and the section
@@ -45,9 +46,10 @@ RUN_KINDS = ("crawl", "measure", "longitudinal", "multivantage")
 #: :meth:`RunSpec.to_dict` emits and the campaign service accepts.
 #: Version 1 is the pre-versioning format (no ``schema_version`` key);
 #: version 2 added the explicit key and the ``"distributed"`` executor
-#: backend.  Old versions are upgraded through :data:`_SPEC_MIGRATIONS`
-#: so queued/submitted campaigns survive spec evolution.
-SPEC_SCHEMA_VERSION = 2
+#: backend; version 3 removed the thread backend.  Old versions
+#: are upgraded through :data:`_SPEC_MIGRATIONS` so queued/submitted
+#: campaigns survive spec evolution.
+SPEC_SCHEMA_VERSION = 3
 
 #: Kinds whose records land in a wave directory (``output.out_dir``)
 #: rather than a single spool file (``output.path``).
@@ -85,6 +87,25 @@ def spec_migration(version: int):
 @spec_migration(1)
 def _upgrade_v1(data: MutableMapping) -> MutableMapping:
     """v1 -> v2: the structure is unchanged; the version key is new."""
+    return data
+
+
+#: Removed executor backends, mapped to the backend that replaces them.
+#: Every backend writes byte-identical records, so the replacement
+#: produces the same output.
+_REMOVED_BACKENDS = dict(thread="process")
+
+
+@spec_migration(2)
+def _upgrade_v2(data: MutableMapping) -> MutableMapping:
+    """v2 -> v3: a spec naming the thread backend runs on processes."""
+    engine = data.get("engine")
+    if isinstance(engine, Mapping):
+        executor = engine.get("executor")
+        if executor in _REMOVED_BACKENDS:
+            data["engine"] = {
+                **engine, "executor": _REMOVED_BACKENDS[executor]
+            }
     return data
 
 
@@ -163,13 +184,6 @@ class WorldSpec:
         return cls(**data)
 
 
-#: Executor backends `EngineSpec.executor` can name (``None`` = the
-#: historical rule: serial when ``workers == 1``, threads otherwise).
-EXECUTOR_BACKENDS = ("serial", "thread", "process", "distributed")
-
-#: Merge strategies: in-memory plan-order assembly, or the streaming
-#: k-way join over per-shard spools (O(shard buffer) memory).
-MERGE_MODES = ("memory", "spool")
 
 
 @dataclass(frozen=True)
@@ -179,13 +193,13 @@ class EngineSpec:
     workers: int = 1
     #: ``None`` keeps the engine default (1 serial, 4 × workers parallel).
     shards: Optional[int] = None
-    #: Executor backend (serial/thread/process/distributed); ``None``
-    #: keeps the workers-based rule.  The process backend sidesteps the
-    #: GIL for compute-bound crawls but requires a picklable campaign
-    #: (stock crawler over a built world — see the engine docs);
-    #: ``distributed`` ships the same shard bundles to worker processes
-    #: over a socket work queue (:mod:`repro.distributed`) under the
-    #: same portability rules.
+    #: Executor backend (one of ``EXECUTOR_BACKENDS``); ``None`` is
+    #: serial for one worker and process otherwise.  The process
+    #: backend sidesteps the GIL for compute-bound crawls but requires
+    #: a picklable campaign (stock crawler over a built world — see the
+    #: engine docs); ``distributed`` ships the same shard bundles to
+    #: worker processes over a socket work queue
+    #: (:mod:`repro.distributed`) under the same portability rules.
     executor: Optional[str] = None
     #: ``"memory"`` merges in memory; ``"spool"`` streams shard output
     #: to per-shard spools and k-way-joins them (needs an output path).
@@ -201,6 +215,12 @@ class EngineSpec:
             raise SpecError(f"engine.workers must be >= 1, got {self.workers}")
         if self.shards is not None and self.shards < 1:
             raise SpecError(f"engine.shards must be >= 1, got {self.shards}")
+        if self.executor in _REMOVED_BACKENDS:
+            raise SpecError(
+                f"engine.executor {self.executor!r} was removed; use "
+                f"{_REMOVED_BACKENDS[self.executor]!r} (byte-identical "
+                "records) or 'serial'"
+            )
         if self.executor is not None and self.executor not in EXECUTOR_BACKENDS:
             raise SpecError(
                 "engine.executor must be one of "
@@ -209,7 +229,7 @@ class EngineSpec:
         if self.executor == "serial" and self.workers > 1:
             raise SpecError(
                 "engine.executor='serial' contradicts engine.workers > 1 "
-                "(pick 'thread' or 'process' to parallelise)"
+                "(pick 'process' or 'distributed' to parallelise)"
             )
         if self.merge not in MERGE_MODES:
             raise SpecError(

@@ -63,9 +63,8 @@ class Browser:
         self.user_agent = user_agent
         #: Optional private visit-id allocator.  By default navigations
         #: draw from the network's shared monotonic counter; the crawl
-        #: engine's parallel mode supplies a deterministic per-task
-        #: stream instead so measurements don't depend on thread
-        #: scheduling.
+        #: engine's per-task regime supplies a deterministic per-task
+        #: stream instead so measurements don't depend on scheduling.
         self._visit_ids = visit_ids
         #: Parsed-document cache (None disables).  Identical response
         #: bodies across visits/VPs/repeats are parsed once and cloned.

@@ -37,6 +37,7 @@ import sys
 from typing import List, Optional
 
 from repro.experiments import EXPERIMENTS, ExperimentContext, run_experiment
+from repro.measure.engine import EXECUTOR_BACKENDS, MERGE_MODES
 from repro.webgen import build_world
 
 #: Subcommands that compile argv into a RunSpec.
@@ -71,7 +72,7 @@ def _add_world_args(parser: argparse.ArgumentParser, *, spec_mode: bool = False)
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=_positive_int, default=argparse.SUPPRESS,
-        help="crawl-engine worker threads (default 1 = serial)",
+        help="crawl-engine worker processes (default 1 = serial)",
     )
     parser.add_argument(
         "--shards", type=_positive_int, default=argparse.SUPPRESS,
@@ -79,16 +80,16 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
              "parallel; tasks are sharded by a stable domain hash)",
     )
     parser.add_argument(
-        "--executor", choices=("serial", "thread", "process", "distributed"),
+        "--executor", choices=EXECUTOR_BACKENDS,
         default=argparse.SUPPRESS,
-        help="executor backend (default: serial when --workers 1, thread "
-             "otherwise; process sidesteps the GIL for compute-bound "
-             "crawls; distributed ships shard bundles to worker "
+        help="executor backend (default: serial when --workers 1, "
+             "process otherwise; process runs shards in worker "
+             "processes; distributed ships shard bundles to worker "
              "processes over a socket work queue — final JSONL is "
              "byte-identical across backends)",
     )
     parser.add_argument(
-        "--merge", choices=("memory", "spool"),
+        "--merge", choices=MERGE_MODES,
         default=argparse.SUPPRESS,
         help="merge strategy (default memory; spool streams shard output "
              "to per-shard files and k-way-joins them, keeping memory "

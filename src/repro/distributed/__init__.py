@@ -24,10 +24,7 @@ produces the same bytes — the merged spool stays byte-identical to
 the serial backend.
 """
 
-from repro.distributed.executor import (
-    DistributedExecutor,
-    FaultInjectingDistributedExecutor,
-)
+from repro.distributed.executor import DistributedExecutor
 from repro.distributed.wire import (
     WIRE_PROTOCOL_VERSION,
     WireBundle,
@@ -43,7 +40,6 @@ from repro.distributed.worker import serve_worker
 
 __all__ = [
     "DistributedExecutor",
-    "FaultInjectingDistributedExecutor",
     "WIRE_PROTOCOL_VERSION",
     "WireBundle",
     "WireHeartbeat",

@@ -501,27 +501,3 @@ class DistributedExecutor(Executor):
             entry = self._inflight.pop(key, None)
             if entry is not None:
                 self._requeue_locked(entry[0], error)
-
-
-class FaultInjectingDistributedExecutor(DistributedExecutor):
-    """Chaos harness: the chosen shards' *first* worker SIGKILLs itself
-    mid-shard (via the bundle's ``kill_after`` hook, exactly like
-    :class:`~repro.measure.engine.FaultInjectingProcessExecutor`); the
-    re-dispatched bundle runs clean, modelling a worker lost to the
-    environment rather than a poisoned shard.  Used by the kill/
-    re-dispatch tests; never the default.
-    """
-
-    def __init__(self, workers: int, kill_shards, **kwargs) -> None:
-        super().__init__(workers, **kwargs)
-        self.kill_shards = set(kill_shards)
-
-    def bundle_overrides(self, shard_id: int, task_count: int) -> Dict:
-        if shard_id in self.kill_shards:
-            return {"kill_after": task_count // 2}
-        return {}
-
-    def redispatch_bundle(self, bundle: Dict) -> Dict:
-        bundle = dict(bundle)
-        bundle.pop("kill_after", None)
-        return bundle

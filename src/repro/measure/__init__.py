@@ -18,9 +18,6 @@ from repro.measure.engine import (
     CrawlPlan,
     CrawlTask,
     EngineResult,
-    FaultInjectingExecutor,
-    FaultInjectingProcessExecutor,
-    ParallelExecutor,
     ProcessExecutor,
     RetryPolicy,
     SerialExecutor,
@@ -47,10 +44,7 @@ __all__ = [
     "TaskOutcome",
     "RetryPolicy",
     "SerialExecutor",
-    "ParallelExecutor",
     "ProcessExecutor",
-    "FaultInjectingExecutor",
-    "FaultInjectingProcessExecutor",
     "EXECUTOR_BACKENDS",
     "MERGE_MODES",
     "VisitRecord",

@@ -178,7 +178,8 @@ class Crawler:
         """Detection-crawl *domains* (default: the full target union).
 
         A thin wrapper over the crawl engine: compiles a single-VP
-        detection plan and executes it with *workers* threads.
+        detection plan and executes it through the engine (serial for
+        ``workers=1``, worker processes otherwise).
         *progress* fires every :data:`PROGRESS_BATCH` sites and — unlike
         the old serial loop — once more for the final partial batch, so
         short crawls also report completion.

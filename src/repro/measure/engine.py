@@ -23,28 +23,28 @@ loop.  This module turns that loop into an explicit subsystem:
    ``backend`` (surfaced as ``EngineSpec.executor`` / ``--executor``):
 
    - ``"serial"`` — :class:`SerialExecutor` walks the shards in shard
-     order on the calling thread.
-   - ``"thread"`` — :class:`ParallelExecutor` dispatches one shard at
-     a time to a ``ThreadPoolExecutor`` with ``workers`` threads.
-     Threads suit network-bound crawls — the netsim mirrors that via
-     ``Network.latency`` — since every task builds its own browser and
-     cookie jar, so no mutable state is shared.
+     order on the calling thread: the one in-process path, and the
+     reference every other backend must match byte for byte.
    - ``"process"`` — :class:`ProcessExecutor` ships each shard to a
      worker *process* as a picklable task bundle (world key + task
      list + per-task visit-id stream seeds) and gets serialized
-     outcomes back.  Processes sidestep the GIL, so this is the
-     backend for compute-bound scale-out (the netsim at zero
-     latency, heavy filter matching, parsing).  Workers rebuild the
+     outcomes back.  Processes sidestep the GIL, which a crawl that is
+     compute-bound (parsing, filter matching, the netsim at zero
+     latency) needs to scale; with ``Network.latency_mode="real"``
+     the workers overlap real waits as well.  Workers rebuild the
      world deterministically from its (seed, scale, evolution) key —
      or, under the default ``fork`` start method, inherit the
      parent's already-built world for free — so the bundle stays
      small.  See *Pickling constraints* below.
+   - ``"distributed"`` — :class:`~repro.distributed.DistributedExecutor`
+     sends the same bundles to worker processes over a socket work
+     queue (:mod:`repro.distributed`).
 
-   With no explicit backend the engine keeps its historical rule:
-   ``workers == 1`` is serial, ``workers > 1`` is threads.  Each task
-   runs under a :class:`RetryPolicy` (transient ``NetworkError``-family
-   failures are retried, then recorded as a failed
-   :class:`TaskOutcome` rather than aborting the crawl).
+   With no explicit backend, ``workers == 1`` is serial and
+   ``workers > 1`` is the process backend.  Each task runs under a
+   :class:`RetryPolicy` (transient ``NetworkError``-family failures
+   are retried, then recorded as a failed :class:`TaskOutcome` rather
+   than aborting the crawl).
 
 4. **Merge.**  Outcomes are re-assembled in **plan order** (their
    canonical order) regardless of which worker finished first, in one
@@ -54,9 +54,9 @@ loop.  This module turns that loop into an explicit subsystem:
      with a ``spool_path``, shard output is additionally appended to
      a ``<path>.partial`` JSONL file as shards finish — crash
      durability and live inspection, not a memory saving — and on
-     success the final file is written in canonical order and the
-     partial removed, so an interrupted run never clobbers a previous
-     complete output.
+     success the final file is written in canonical order (through a
+     temp file swapped in atomically) and the partial removed, so an
+     interrupted run never clobbers a previous complete output.
    - ``merge="spool"``: each finished shard streams its outcomes to a
      private ``<path>.shardNNNN.part`` JSONL spool (plan-index-sorted
      by construction) and the final file is produced by a k-way
@@ -78,7 +78,7 @@ Crawler` over a world built by ``build_world(seed=…, scale=…)``
 instances travel in the bundle, so configured detectors behave
 identically in a worker).  Crawler subclasses, hand-assembled or
 knob-tuned worlds, and unpicklable detectors are refused with a
-clear error — use the thread backend for those.
+clear error — run those on the serial backend.
 
 Checkpoints and resume
 ----------------------
@@ -95,8 +95,8 @@ A fingerprint mismatch (different plan, world seed, or id regime)
 raises :class:`CheckpointMismatch` rather than silently mixing two
 different runs.  On success the checkpoint is removed.
 
-Checkpointed runs always use the per-task visit-id streams (the
-parallel regime below) regardless of ``workers``, because the serial
+Checkpointed runs always use the per-task visit-id streams (see
+*Determinism* below) regardless of ``workers``, because the serial
 shared-counter stream cannot survive a resume boundary: skipped tasks
 would no longer advance it.  Detection records are unaffected; cookie
 and uBlock values are deterministic within the per-task regime.
@@ -115,13 +115,13 @@ engine controls how ids are allocated:
 - **Serial** (``workers=1``, the default): browsers draw from the
   network's shared monotonic counter in plan order — byte-for-byte the
   pre-engine serial harness.
-- **Parallel** (``workers>1``): every task gets a private visit-id
-  stream derived from (world seed, vp, domain, mode, repeats), so the
-  records are a pure function of the world and the plan — identical
-  across reruns and across *any* parallel worker/shard combination,
-  never dependent on thread scheduling.  (Parallel values differ from
-  the serial stream's, since the ids differ; each regime is internally
-  deterministic.)
+- **Per-task** (the bundle backends, and every checkpointed run): every
+  task gets a private visit-id stream derived from (world seed, vp,
+  domain, mode, repeats), so the records are a pure function of the
+  world and the plan — identical across reruns and across *any*
+  backend/worker/shard combination, never dependent on scheduling.
+  (Per-task values differ from the serial stream's, since the ids
+  differ; each regime is internally deterministic.)
 
 Progress and throughput are emitted through the existing
 :mod:`repro.measure.instrumentation` event-log machinery (``plan``,
@@ -143,7 +143,6 @@ import threading
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor as _PyProcessPool
-from concurrent.futures import ThreadPoolExecutor as _PyThreadPool
 from concurrent.futures import as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -157,6 +156,7 @@ from repro.resilience.clock import TaskMeter, active_meter
 from repro.resilience.degrade import degraded_record
 from repro.measure.storage import (
     RawRecord,
+    atomic_replace,
     encode_record_line,
     iter_records,
     load_records,
@@ -176,8 +176,9 @@ CHECKPOINT_VERSION = 1
 TASK_MODES = ("detect", "accept", "reject", "subscription", "ublock")
 
 #: Executor backends selectable by name (``EngineSpec.executor`` /
-#: ``--executor``); ``None`` keeps the historical workers-based rule.
-EXECUTOR_BACKENDS = ("serial", "thread", "process", "distributed")
+#: ``--executor``); ``None`` picks serial for one worker, process
+#: otherwise.  The one definition the spec and the CLI import.
+EXECUTOR_BACKENDS = ("serial", "process", "distributed")
 
 #: Backends whose shards run outside this process (picklable bundle
 #: path, per-task visit-id regime, stock-crawler portability check).
@@ -554,9 +555,9 @@ def _run_shard_bundle(bundle: Dict) -> Dict:
         bundle["tasks"]
     ):
         if kill_after is not None and position >= kill_after:
-            # Fault injection: die the way a real worker does — no
-            # cleanup, no exception, just gone (see
-            # FaultInjectingProcessExecutor).
+            # Fault injection (the ``kill_after`` bundle override): die
+            # the way a real worker does — no cleanup, no exception,
+            # just gone.
             os.kill(os.getpid(), signal.SIGKILL)
         task = CrawlTask(vp=vp, domain=domain, mode=mode, repeats=repeats)
         breaker = breakers.get(domain)
@@ -960,52 +961,6 @@ class SerialExecutor(Executor):
         return outcomes
 
 
-class ParallelExecutor(Executor):
-    """Runs shards concurrently on a thread pool of *workers* threads."""
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-
-    def run(self, sharded, run_shard):
-        outcomes: List[TaskOutcome] = []
-        with _PyThreadPool(max_workers=self.workers) as pool:
-            futures = [
-                pool.submit(run_shard, shard_id, items)
-                for shard_id, items in enumerate(sharded)
-                if items
-            ]
-            for future in futures:
-                outcomes.extend(future.result())
-        return outcomes
-
-
-class FaultInjectingExecutor(ParallelExecutor):
-    """Chaos harness for the checkpoint/resume path: kills the chosen
-    shards either before they run or — with ``partial=True`` — after
-    half their tasks completed (and were checkpointed), which is what a
-    worker dying mid-shard looks like.  Surviving shards finish and
-    checkpoint normally, exactly as under a real crash of one worker.
-    Used by the crash-safety tests and benchmarks; never the default.
-    """
-
-    def __init__(self, workers: int, fail_shards, *, partial: bool = False):
-        super().__init__(workers)
-        self.fail_shards = set(fail_shards)
-        self.partial = partial
-
-    def run(self, sharded, run_shard):
-        def wrapped(shard_id, items):
-            if shard_id in self.fail_shards:
-                if self.partial:
-                    run_shard(shard_id, items[: len(items) // 2])
-                raise RuntimeError(f"injected crash in shard {shard_id}")
-            return run_shard(shard_id, items)
-
-        return super().run(sharded, wrapped)
-
-
 class ProcessExecutor(Executor):
     """Runs shards in worker *processes* (``ProcessPoolExecutor``).
 
@@ -1014,8 +969,7 @@ class ProcessExecutor(Executor):
     shard bundles built by the engine (:meth:`CrawlEngine.
     _process_bundle`) and hands each completed shard's serialized
     payload back through a callback — in completion order, so the
-    engine checkpoints and spools shards exactly as eagerly as it
-    does under threads.
+    engine checkpoints and spools each shard as soon as it lands.
 
     The start method defaults to ``fork`` where available (workers
     inherit the parent's already-built world through
@@ -1079,35 +1033,6 @@ class ProcessExecutor(Executor):
                 on_shard(future.result())
 
 
-class FaultInjectingProcessExecutor(ProcessExecutor):
-    """Chaos harness for the process backend: the chosen shards'
-    workers SIGKILL themselves after completing half their tasks —
-    byte-for-byte what the OOM killer or a pod eviction does to a real
-    worker.  The engine run fails with the pool's
-    ``BrokenProcessPool``; shards whose results were delivered before
-    the kill stay checkpointed, while shards still in flight (in the
-    killed worker *or* — with multiple workers — in siblings, which a
-    broken pool voids too) re-run on resume.  Tests pin ``workers=1``
-    where they need the set of checkpointed shards deterministic.
-    Used by the kill/resume tests; never the default.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        kill_shards,
-        *,
-        start_method: Optional[str] = None,
-    ):
-        super().__init__(workers, start_method=start_method)
-        self.kill_shards = set(kill_shards)
-
-    def bundle_overrides(self, shard_id: int, task_count: int) -> Dict:
-        if shard_id in self.kill_shards:
-            return {"kill_after": task_count // 2}
-        return {}
-
-
 class CrawlEngine:
     """Compiles nothing, schedules everything: executes a
     :class:`CrawlPlan` through an executor and merges the outcomes.
@@ -1120,13 +1045,13 @@ class CrawlEngine:
     workers:
         Degree of parallelism.  Without an explicit *backend*, ``1``
         (default) selects :class:`SerialExecutor` and ``>1`` a
-        :class:`ParallelExecutor` with that many threads.
+        :class:`ProcessExecutor` with that many worker processes.
     backend:
-        Executor backend by name — ``"serial"``, ``"thread"``, or
-        ``"process"`` (see the module docstring); ``None`` keeps the
-        workers-based rule above.  The process backend requires a
+        Executor backend by name — one of :data:`EXECUTOR_BACKENDS`
+        (see the module docstring); ``None`` keeps the workers-based
+        rule above.  The process and distributed backends require a
         stock crawler over a built world (pickling constraints) and
-        always uses per-task visit-id streams.
+        always use per-task visit-id streams.
     merge:
         ``"memory"`` (default) assembles the merged outcome list in
         memory; ``"spool"`` streams shard outcomes to per-shard spools
@@ -1134,7 +1059,7 @@ class CrawlEngine:
         join, keeping memory O(one shard) — requires *spool_path*.
     shards:
         Shard count; defaults to ``1`` when serial and ``4 × workers``
-        when parallel.  A shard is the unit of concurrency (tasks
+        otherwise.  A shard is the unit of concurrency (tasks
         within it run serially), so effective parallelism is
         ``min(workers, shards)``.  The merged result is independent of
         it for detection crawls (see module docstring).
@@ -1200,7 +1125,7 @@ class CrawlEngine:
         if backend == "serial" and workers > 1:
             raise ValueError(
                 "backend='serial' contradicts workers > 1 "
-                "(pick 'thread' or 'process' to parallelise)"
+                "(pick 'process' or 'distributed' to parallelise)"
             )
         if merge not in MERGE_MODES:
             raise ValueError(
@@ -1216,16 +1141,9 @@ class CrawlEngine:
         self.workers = workers
         self.backend = backend
         self.merge = merge
-        # An explicitly injected process executor is as parallel as a
-        # named backend — it must flip the shards default (and the
-        # visit-id regime below) exactly like backend="process".
-        parallel = (
-            workers > 1
-            or backend in ("thread",) + _BUNDLE_BACKENDS
-            or getattr(executor, "uses_processes", False)
-        )
+        self.executor = executor
         self.shards = shards if shards is not None else (
-            workers * 4 if parallel else 1
+            workers * 4 if self._bundled else 1
         )
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
@@ -1242,7 +1160,6 @@ class CrawlEngine:
             # the caller believes the checkpoint was honoured.
             raise ValueError("resume=True requires a checkpoint_path")
         self.resume = resume
-        self.executor = executor
         self._spool_partial: Optional[Path] = None
         #: Spool-merge run state: part files written so far.
         self._merge_parts: List[Path] = []
@@ -1268,24 +1185,31 @@ class CrawlEngine:
         """The effective backend name (explicit, or the workers rule)."""
         if self.backend is not None:
             return self.backend
-        return "serial" if self.workers == 1 else "thread"
+        return "serial" if self.workers == 1 else "process"
+
+    @property
+    def _bundled(self) -> bool:
+        """Whether this run is configured for the bundle backends.
+
+        An explicitly injected process executor counts like a named
+        bundle backend: it flips the shards default and the visit-id
+        regime exactly like ``backend="process"``.
+        """
+        return (
+            self.resolved_backend in _BUNDLE_BACKENDS
+            or getattr(self.executor, "uses_processes", False)
+        )
 
     @property
     def per_task_ids(self) -> bool:
         """Whether tasks get private visit-id streams (module docstring).
 
-        True in parallel mode (any explicit thread/process backend —
-        or injected process executor — included: worker processes
-        cannot share the serial counter) and for every checkpointed
-        run: the serial shared-counter stream cannot survive a resume
-        boundary, since replayed tasks would no longer advance it.
+        True for the bundle backends (worker processes cannot share the
+        serial counter) and for every checkpointed run: the serial
+        shared-counter stream cannot survive a resume boundary, since
+        replayed tasks would no longer advance it.
         """
-        return (
-            self.workers > 1
-            or self.checkpoint_path is not None
-            or self.backend in ("thread",) + _BUNDLE_BACKENDS
-            or getattr(self.executor, "uses_processes", False)
-        )
+        return self._bundled or self.checkpoint_path is not None
 
     def fingerprint(self, plan: CrawlPlan) -> str:
         """The :func:`plan_fingerprint` of *plan* under this engine."""
@@ -1327,8 +1251,8 @@ class CrawlEngine:
         replay = self._reconcile_checkpoint(plan)
         self._breakers = {}
         if self.retry.breaker_threshold is not None:
-            # Pre-created single-threaded: shard workers only ever look
-            # their domain's breaker up, never mutate the registry.
+            # Pre-created before execution: shards only ever look their
+            # domain's breaker up, never mutate the registry.
             for task in plan.tasks:
                 if task.domain not in self._breakers:
                     self._breakers[task.domain] = CircuitBreaker(
@@ -1396,10 +1320,10 @@ class CrawlEngine:
             if self.spool_path is not None:
                 # Shards appended to the .partial file in completion
                 # order (a crash leaves them there, and the previous
-                # complete output untouched); success writes the
-                # canonical file and drops the partial.  Iterating the
-                # outcomes directly (not .records) keeps zero-copy
-                # records serialized end to end.
+                # complete output untouched); success atomically
+                # replaces the canonical file and drops the partial.
+                # Iterating the outcomes directly (not .records) keeps
+                # zero-copy records serialized end to end.
                 save_records(
                     (
                         o.record for o in outcomes
@@ -1432,12 +1356,10 @@ class CrawlEngine:
         workers = min(self.workers, self.shards)
         if backend == "process":
             return ProcessExecutor(workers)
-        if backend == "distributed":
-            # Imported lazily — repro.distributed builds on this module.
-            from repro.distributed import DistributedExecutor
+        # Imported lazily — repro.distributed builds on this module.
+        from repro.distributed import DistributedExecutor
 
-            return DistributedExecutor(workers)
-        return ParallelExecutor(workers)
+        return DistributedExecutor(workers)
 
     # ------------------------------------------------------------------
     # Process backend (picklable shard bundles)
@@ -1451,7 +1373,7 @@ class CrawlEngine:
                 "the process backend ships picklable task bundles and "
                 "rebuilds the stock Crawler in each worker; "
                 f"{type(self.crawler).__name__} cannot cross the process "
-                "boundary (use the thread backend)"
+                "boundary (run it on the serial backend)"
             )
         config = getattr(getattr(self.crawler, "world", None), "config", None)
         if config is None or getattr(config, "seed", None) is None:
@@ -1470,8 +1392,8 @@ class CrawlEngine:
             raise ValueError(
                 "the process backend rebuilds the world from (seed, "
                 "scale) alone; this world's config carries non-default "
-                "knobs a worker could not reproduce (use the thread "
-                "backend)"
+                "knobs a worker could not reproduce (run it on the "
+                "serial backend)"
             )
 
     def _run_process_shards(
@@ -1492,8 +1414,8 @@ class CrawlEngine:
         # The run-constant half, installed once per worker by the pool
         # initializer.  The live detector instances travel here, so
         # configured (e.g. ablation) detectors behave the same in a
-        # worker as under threads; an unpicklable custom detector
-        # fails loudly at pool start.
+        # worker as in-process; an unpicklable custom detector fails
+        # loudly at pool start.
         shared = {
             "world": world_key,
             "latency": getattr(world.network, "latency", 0.0),
@@ -1748,9 +1670,8 @@ class CrawlEngine:
             Path(f"{self.spool_path}.resume.part") if spooled else None
         )
         part_handle = None
-        tmp = path.with_name(path.name + ".reconcile")
         try:
-            with tmp.open("w", encoding="utf-8") as handle:
+            with atomic_replace(path) as handle:
                 handle.write(self._checkpoint_header(fingerprint, len(plan)))
                 if scan.breakers:
                     # Consolidate the per-flush breaker lines into one
@@ -1795,7 +1716,6 @@ class CrawlEngine:
         finally:
             if part_handle is not None:
                 part_handle.close()
-        tmp.replace(path)
         if part_handle is not None:
             replay.resume_part = resume_part
         return replay
@@ -1881,9 +1801,8 @@ class CrawlEngine:
             raise CheckpointMismatch(
                 f"{path}: corrupt checkpoint ({error}); refusing to compact"
             ) from error
-        tmp = path.with_name(path.name + ".compact")
         kept = 0
-        with tmp.open("w", encoding="utf-8") as handle:
+        with atomic_replace(path) as handle:
             # The header survives verbatim (same fingerprint, still
             # resumable).
             handle.write(scan.header_line + "\n")
@@ -1892,7 +1811,6 @@ class CrawlEngine:
             for _, _, line in _merge_checkpoint_runs(path, scan):
                 handle.write(line + "\n")
                 kept += 1
-        tmp.replace(path)
         return CheckpointCompaction(
             path=path,
             kept=kept,
@@ -2037,8 +1955,8 @@ class CrawlEngine:
         """A private, deterministic visit-id stream for *task*.
 
         Derived purely from the world seed and the task identity, so
-        parallel measurement results never depend on which thread ran
-        which task first (see the module docstring).
+        the records never depend on which worker ran which task first
+        (see the module docstring).
         """
         world = getattr(self.crawler, "world", None)
         config = getattr(world, "config", None)
@@ -2056,9 +1974,7 @@ class CrawlEngine:
                 })
         if self.progress is not None:
             # Hook calls are serialised (so wrapper closures need no
-            # locking of their own) but run outside the engine lock;
-            # under parallel execution consecutive calls may observe
-            # `done` snapshots out of order.
+            # locking of their own) but run outside the engine lock.
             with self._progress_lock:
                 self.progress(done, total, task)
 

@@ -24,9 +24,12 @@ from __future__ import annotations
 
 import heapq
 import json
+import os
+import tempfile
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Sequence, TextIO, Tuple, Union
 
 from repro.measure.records import CookieMeasurement, UBlockRecord, VisitRecord
 
@@ -192,11 +195,38 @@ def materialize_record(record):
     return record
 
 
+@contextmanager
+def atomic_replace(path: Union[str, Path]) -> Iterator[TextIO]:
+    """Open a text handle whose content replaces *path* only on success.
+
+    The content goes to a uniquely named temp file in *path*'s
+    directory (``tempfile.mkstemp``, so concurrent writers never share
+    one), is fsynced, and is then ``replace``d into place.  If the body
+    raises, the temp file is unlinked and *path* is left exactly as it
+    was: an interrupted write never clobbers a previous complete file.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+
+
 def save_records(
     records: Iterable, path: Union[str, Path], *, append: bool = False
 ) -> int:
     """Write records as JSON lines; returns the number written.
 
+    A plain write replaces *path* atomically (:func:`atomic_replace`).
     With ``append=True`` the records are appended to an existing file
     (creating it when missing) — the streaming mode the crawl engine
     uses to spill each shard's output as it finishes.  A
@@ -204,12 +234,19 @@ def save_records(
     (no decode), byte-identically to writing the typed record.
     """
     path = Path(path)
+    if not append:
+        with atomic_replace(path) as handle:
+            return _write_records(records, handle)
     path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("a", encoding="utf-8") as handle:
+        return _write_records(records, handle)
+
+
+def _write_records(records: Iterable, handle: TextIO) -> int:
     count = 0
-    with path.open("a" if append else "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(encode_record_line(record) + "\n")
-            count += 1
+    for record in records:
+        handle.write(encode_record_line(record) + "\n")
+        count += 1
     return count
 
 
@@ -308,14 +345,9 @@ def merge_record_spools(
     structurally validated, and one payload per part is held in
     memory.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     count = 0
-    # Stream to a sibling and rename on success: a crash mid-join must
-    # never truncate a previous complete output — the same invariant
-    # the in-memory merge's .partial protocol provides.
-    tmp = path.with_name(path.name + ".merging")
-    with tmp.open("w", encoding="utf-8") as handle:
+    # A crash mid-join must never truncate a previous complete output.
+    with atomic_replace(path) as handle:
         for payload in iter_merged_jsonl(parts):
             record_payload = payload.get("record")
             if record_payload is None:
@@ -325,5 +357,4 @@ def merge_record_spools(
                 json.dumps(record_payload, ensure_ascii=False) + "\n"
             )
             count += 1
-    tmp.replace(path)
     return count

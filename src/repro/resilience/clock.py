@@ -7,8 +7,8 @@ exercising a 30-second slow-loris spike still finishes in
 milliseconds.  Two pieces cooperate:
 
 * :class:`VirtualClock` — a world-wide monotonic counter owned by the
-  :class:`~repro.netsim.network.Network`.  Thread workers advance it
-  concurrently; the total is a sum of per-request costs, so the final
+  :class:`~repro.netsim.network.Network`.  Concurrent callers may
+  advance it; the total is a sum of per-request costs, so the final
   reading is deterministic even though interleavings are not.
 * :class:`TaskMeter` — per-task cost accounting, installed around one
   task's retry loop.  Tasks run serially within their shard worker, so

@@ -22,9 +22,10 @@ from repro.api import (
     WorldSpec,
 )
 from repro.cli import main
-from repro.measure import Crawler, CrawlEngine, FaultInjectingExecutor
+from repro.measure import Crawler, CrawlEngine
 from repro.measure.records import CookieMeasurement, VisitRecord
 from repro.webgen import build_world
+from tests.support.faults import FaultInjectingExecutor
 
 WORLD = WorldSpec(scale=0.01, seed=3)
 
@@ -86,13 +87,13 @@ class TestSessionBasics:
             output=OutputSpec(path=str(serial_out)),
         )
         Session(spec).run()
-        for backend in ("thread", "process"):
+        for backend, workers in (("serial", 1), ("process", 2)):
             out = tmp_path / f"{backend}.jsonl"
             result = Session(
                 RunSpec(
                     kind="crawl", world=WORLD, crawl=CrawlSpec(vps=("DE",)),
                     engine=EngineSpec(
-                        workers=2, executor=backend, merge="spool"
+                        workers=workers, executor=backend, merge="spool"
                     ),
                     output=OutputSpec(path=str(out)),
                 )
@@ -234,7 +235,7 @@ class TestSessionResume:
         engine = CrawlEngine(
             crawler, workers=4, shards=8, spool_path=out,
             checkpoint_path=f"{out}.checkpoint",
-            executor=FaultInjectingExecutor(4, (1, 3, 5, 7), partial=True),
+            executor=FaultInjectingExecutor((1, 3, 5, 7), partial=True),
         )
         with pytest.raises(RuntimeError):
             engine.execute(plan)

@@ -1,5 +1,6 @@
 """Tests for the RunSpec tree: round-trips, config files, overrides."""
 
+import dataclasses
 import json
 
 import pytest
@@ -109,8 +110,10 @@ class TestValidation:
             EngineSpec(executor="fiber").validate()
         with pytest.raises(SpecError, match="contradicts"):
             EngineSpec(executor="serial", workers=4).validate()
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process", "distributed"):
             EngineSpec(executor=backend).validate()
+        with pytest.raises(SpecError, match="'process'"):
+            EngineSpec(executor="thread").validate()
 
     def test_executor_round_trips(self):
         spec = RunSpec(
@@ -292,3 +295,31 @@ class TestSchemaVersioning:
         migrated = migrate_spec_payload(payload)
         assert "schema_version" not in migrated
         assert payload == {"schema_version": 1, "kind": "crawl"}
+
+    def test_v2_thread_executor_runs_on_processes(self, tmp_path):
+        """A v2 spec naming the removed thread backend still loads — as
+        the process backend — and writes the serial run's bytes."""
+        from repro.api import Session
+
+        v2_json = json.dumps({
+            "schema_version": 2,
+            "kind": "crawl",
+            "world": {"scale": 0.01, "seed": 3},
+            "engine": {"workers": 2, "executor": "thread"},
+            "crawl": {"vps": ["DE"]},
+            "output": {"path": str(tmp_path / "v2.jsonl")},
+        })
+        payload = json.loads(v2_json)
+        spec = RunSpec.from_dict(payload)
+        assert spec.engine.executor == "process"
+        assert payload["engine"]["executor"] == "thread"  # input untouched
+        Session(spec).run()
+        serial = dataclasses.replace(
+            spec,
+            engine=EngineSpec(),
+            output=OutputSpec(path=str(tmp_path / "serial.jsonl")),
+        )
+        Session(serial).run()
+        assert (tmp_path / "v2.jsonl").read_bytes() == (
+            tmp_path / "serial.jsonl"
+        ).read_bytes()

@@ -10,7 +10,7 @@ Storage-layer chaos rides along: torn shard spools and torn checkpoint
 tails must be tolerated, never silently dropped.
 
 Like ``test_executor_backends.py``, CI runs this module once per
-backend (``REPRO_EXECUTOR_BACKEND=serial|thread|process``) under
+backend (``REPRO_EXECUTOR_BACKEND=serial|process|distributed``) under
 pinned chaos seeds; locally, with the variable unset, every backend
 runs in one pass.
 """
@@ -24,8 +24,6 @@ from repro.measure import (
     EXECUTOR_BACKENDS,
     CrawlEngine,
     Crawler,
-    FaultInjectingExecutor,
-    FaultInjectingProcessExecutor,
     RetryPolicy,
 )
 from repro.measure.storage import (
@@ -35,6 +33,10 @@ from repro.measure.storage import (
     torn_line_count,
 )
 from repro.resilience.chaos import ChaosSpec, tear_trailing_line
+from tests.support.faults import (
+    FaultInjectingExecutor,
+    FaultInjectingProcessExecutor,
+)
 
 _ENV_BACKEND = os.environ.get("REPRO_EXECUTOR_BACKEND")
 BACKENDS = (_ENV_BACKEND,) if _ENV_BACKEND else EXECUTOR_BACKENDS
@@ -176,9 +178,7 @@ class TestDifferentialOracle:
         if backend == "process":
             executor = FaultInjectingProcessExecutor(1, (1, 4))
         else:
-            executor = FaultInjectingExecutor(
-                1 if backend == "serial" else WORKERS, (1, 4), partial=True
-            )
+            executor = FaultInjectingExecutor((1, 4), partial=True)
         engine = make_engine(
             backend, chaos_crawler, spool_path=out,
             checkpoint_path=checkpoint, executor=executor,
@@ -282,8 +282,8 @@ def test_breaker_state_survives_kill_and_resume(
     backend, tmp_path, chaos_crawler, breaker_plan_factory, breaker_chaos,
     breaker_reference,
 ):
-    """SIGKILL a worker mid-chaos (injected crash under
-    threads/serial): the checkpoint carries the breaker line, the
+    """SIGKILL a worker mid-chaos (an injected in-process crash under
+    serial/distributed): the checkpoint carries the breaker line, the
     resumed run restores the registry instead of restarting it closed,
     and the final spool — including which tasks were breaker-skipped —
     is byte-identical to the uninterrupted run."""
@@ -293,10 +293,7 @@ def test_breaker_state_survives_kill_and_resume(
     if backend == "process":
         executor = FaultInjectingProcessExecutor(1, (SHARDS - 1,))
     else:
-        executor = FaultInjectingExecutor(
-            1 if backend == "serial" else WORKERS, (SHARDS - 1,),
-            partial=True,
-        )
+        executor = FaultInjectingExecutor((SHARDS - 1,), partial=True)
     engine = make_engine(
         backend, chaos_crawler, spool_path=out, checkpoint_path=checkpoint,
         executor=executor, retry=RetryPolicy(**BREAKER_RETRY),
@@ -335,7 +332,7 @@ def test_compacted_checkpoint_keeps_breaker_state(
     engine = CrawlEngine(
         chaos_crawler, spool_path=out, checkpoint_path=checkpoint,
         retry=RetryPolicy(**BREAKER_RETRY),
-        executor=FaultInjectingExecutor(1, (0,), partial=True),
+        executor=FaultInjectingExecutor((0,), partial=True),
         shards=SHARDS,
     )
     with pytest.raises(RuntimeError):
@@ -424,7 +421,7 @@ class TestTornWrites:
         engine = CrawlEngine(
             chaos_crawler, spool_path=out, checkpoint_path=checkpoint,
             shards=SHARDS,
-            executor=FaultInjectingExecutor(1, (SHARDS - 1,), partial=True),
+            executor=FaultInjectingExecutor((SHARDS - 1,), partial=True),
             retry=RetryPolicy(max_attempts=8),
         )
         with pytest.raises(RuntimeError):

@@ -83,7 +83,8 @@ class TestCrawlAndReport:
 class TestResume:
     def _crashed_checkpoint(self, tmp_path, vps=("DE",)):
         """The on-disk state a killed `crawl` run leaves behind."""
-        from repro.measure import Crawler, CrawlEngine, FaultInjectingExecutor
+        from repro.measure import Crawler, CrawlEngine
+        from tests.support.faults import FaultInjectingExecutor
         from repro.webgen import build_world
 
         out = tmp_path / "records.jsonl"
@@ -93,7 +94,7 @@ class TestResume:
         engine = CrawlEngine(
             crawler, workers=4, shards=8, spool_path=out,
             checkpoint_path=f"{out}.checkpoint",
-            executor=FaultInjectingExecutor(4, (1, 3, 5, 7)),
+            executor=FaultInjectingExecutor((1, 3, 5, 7)),
         )
         with pytest.raises(RuntimeError):
             engine.execute(plan)
@@ -283,7 +284,8 @@ class TestConfigFlag:
 class TestCheckpointCompactVerb:
     def test_compacts_crashed_checkpoint(self, tmp_path, capsys):
         # Build a crashed checkpoint via the fault-injecting engine.
-        from repro.measure import Crawler, CrawlEngine, FaultInjectingExecutor
+        from repro.measure import Crawler, CrawlEngine
+        from tests.support.faults import FaultInjectingExecutor
         from repro.webgen import build_world
 
         spool = tmp_path / "records.jsonl"
@@ -293,7 +295,7 @@ class TestCheckpointCompactVerb:
         engine = CrawlEngine(
             crawler, workers=4, shards=8, spool_path=spool,
             checkpoint_path=f"{spool}.checkpoint",
-            executor=FaultInjectingExecutor(4, (1, 3), partial=True),
+            executor=FaultInjectingExecutor((1, 3), partial=True),
         )
         with pytest.raises(RuntimeError):
             engine.execute(plan)

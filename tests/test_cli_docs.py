@@ -333,3 +333,24 @@ def test_readme_documents_spec_and_checkpoint():
     # The verbs must actually exist in the parser.
     top = top_level_parsers()
     assert "spec" in top and "checkpoint" in top
+
+
+def test_readme_backend_table_matches_engine():
+    """The 'Executors & scaling' table lists exactly the engine's
+    backends, in order — a removed or added backend must show up in
+    the README, and so must the ``--executor`` choices."""
+    from repro.measure.engine import EXECUTOR_BACKENDS
+
+    text = README.read_text(encoding="utf-8")
+    match = re.search(
+        r"^## Executors & scaling\n(.*?)(?=^## )", text,
+        re.DOTALL | re.MULTILINE,
+    )
+    assert match, "README.md lost its '## Executors & scaling' section"
+    rows = re.findall(r"^\| `([a-z]+)` +\|", match.group(1), re.MULTILINE)
+    assert tuple(rows) == EXECUTOR_BACKENDS
+    executor = next(
+        action for action in subcommand_parsers()["crawl"]._actions
+        if "--executor" in action.option_strings
+    )
+    assert tuple(executor.choices) == EXECUTOR_BACKENDS

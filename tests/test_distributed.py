@@ -20,7 +20,6 @@ import pytest
 from repro.distributed import (
     WIRE_PROTOCOL_VERSION,
     DistributedExecutor,
-    FaultInjectingDistributedExecutor,
     WireBundle,
     WireHeartbeat,
     WireHello,
@@ -39,6 +38,7 @@ from repro.errors import (
 )
 from repro.measure import CrawlEngine, Crawler
 from repro.measure.instrumentation import EventLog
+from tests.support.faults import FaultInjectingDistributedExecutor
 
 WORKERS = 2
 SHARDS = 4

@@ -12,7 +12,6 @@ from repro.measure import (
     CrawlEngine,
     CrawlPlan,
     CrawlTask,
-    FaultInjectingExecutor,
     RetryPolicy,
     iter_records,
     plan_fingerprint,
@@ -21,6 +20,7 @@ from repro.measure.crawl import CrawlResult
 from repro.measure.engine import shard_of
 from repro.measure.instrumentation import EventLog
 from repro.webgen import build_world
+from tests.support.faults import FaultInjectingExecutor
 
 
 class TestPlanCompilation:
@@ -250,7 +250,7 @@ class TestEngineEvents:
         (plan_event,) = log.by_kind("plan")
         assert plan_event.detail == {
             "tasks": 30, "shards": 4, "workers": 2,
-            "backend": "thread", "merge": "memory",
+            "backend": "process", "merge": "memory",
         }
         occupied = sum(1 for shard in plan.sharded(4) if shard)
         assert len(log.by_kind("shard")) == occupied
@@ -311,6 +311,39 @@ class TestSpool:
         with pytest.raises(RuntimeError):
             engine.execute(plan)
         assert spool.read_text() == "previous complete output\n"
+
+    def test_interrupted_final_write_keeps_previous_output(
+        self, tmp_path, monkeypatch, medium_world, medium_crawler
+    ):
+        """A memory-merge run that dies while writing the final file
+        leaves the previous complete output byte-identical, and no
+        scratch sibling behind (only the crash-durability partial)."""
+        from repro.measure import storage
+
+        spool = tmp_path / "out.jsonl"
+        plan = medium_crawler.plan_detection_crawl(
+            ["DE"], medium_world.crawl_targets[:20]
+        )
+        CrawlEngine(medium_crawler, spool_path=spool).execute(plan)
+        previous = spool.read_bytes()
+        # Every record is encoded once into the .partial as its shard
+        # finishes, then once more into the final file: fail halfway
+        # through the second pass.
+        encode, calls = storage.encode_record_line, []
+
+        def failing_encode(record):
+            calls.append(record)
+            if len(calls) == len(plan) + len(plan) // 2:
+                raise OSError("disk full")
+            return encode(record)
+
+        monkeypatch.setattr(storage, "encode_record_line", failing_encode)
+        with pytest.raises(OSError, match="disk full"):
+            CrawlEngine(medium_crawler, spool_path=spool).execute(plan)
+        assert spool.read_bytes() == previous
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "out.jsonl", "out.jsonl.partial",
+        ]
 
     def test_spool_truncated_between_runs(self, tmp_path, medium_world, medium_crawler):
         spool = tmp_path / "records.jsonl"
@@ -380,7 +413,7 @@ class TestSpoolMerge:
         plan = crawler.plan_detection_crawl(["DE"], targets)
         out = tmp_path / "partial-failures.jsonl"
         result = CrawlEngine(
-            crawler, workers=2, shards=4, spool_path=out, merge="spool",
+            crawler, shards=4, spool_path=out, merge="spool",
             retry=RetryPolicy(max_attempts=1),
         ).execute(plan)
         assert len(result.failures) == len(dead)
@@ -411,6 +444,41 @@ class TestSpoolMerge:
         ).execute(plan)
         assert result.record_count == 20
         assert not stale.exists()
+
+    def test_interrupted_join_keeps_previous_output(
+        self, tmp_path, monkeypatch, medium_world, medium_crawler
+    ):
+        """A k-way join that dies midway leaves the previous complete
+        output byte-identical and no scratch sibling behind."""
+        from repro.measure import storage
+
+        plan = medium_crawler.plan_detection_crawl(
+            ["DE"], medium_world.crawl_targets[:20]
+        )
+        out = tmp_path / "out.jsonl"
+        CrawlEngine(
+            medium_crawler, shards=4, spool_path=out, merge="spool"
+        ).execute(plan)
+        previous = out.read_bytes()
+        validate, calls = storage.validate_record_payload, []
+
+        def failing_validate(payload):
+            calls.append(payload)
+            if len(calls) == len(plan) // 2:
+                raise OSError("disk full")
+            return validate(payload)
+
+        monkeypatch.setattr(storage, "validate_record_payload", failing_validate)
+        with pytest.raises(OSError, match="disk full"):
+            CrawlEngine(
+                medium_crawler, shards=4, spool_path=out, merge="spool"
+            ).execute(plan)
+        assert out.read_bytes() == previous
+        leftovers = [
+            p.name for p in tmp_path.iterdir()
+            if p.name != "out.jsonl" and not p.name.endswith(".part")
+        ]
+        assert leftovers == []
 
     def test_backend_validation(self, medium_crawler):
         with pytest.raises(ValueError, match="unknown executor backend"):
@@ -466,9 +534,7 @@ class TestCheckpointResume:
         engine = CrawlEngine(
             crawler, workers=self.WORKERS, shards=self.SHARDS,
             spool_path=out, checkpoint_path=f"{out}.checkpoint",
-            executor=FaultInjectingExecutor(
-                self.WORKERS, fail_shards, partial=partial
-            ),
+            executor=FaultInjectingExecutor(fail_shards, partial=partial),
         )
         with pytest.raises(RuntimeError, match="injected crash"):
             engine.execute(plan)
@@ -679,8 +745,7 @@ class TestCheckpointResume:
         engine = CrawlEngine(
             crawler, retry=RetryPolicy(max_attempts=1),
             checkpoint_path=checkpoint,
-            executor=FaultInjectingExecutor(2, (1,)),
-            workers=2, shards=2,
+            executor=FaultInjectingExecutor((1,)), shards=2,
         )
         with pytest.raises(RuntimeError, match="injected crash"):
             engine.execute(plan)
@@ -690,7 +755,7 @@ class TestCheckpointResume:
 
         resumed = CrawlEngine(
             crawler, retry=RetryPolicy(max_attempts=1),
-            checkpoint_path=checkpoint, resume=True, workers=2, shards=2,
+            checkpoint_path=checkpoint, resume=True, shards=2,
         ).execute(plan)
         # Only the killed shard re-ran; the failed outcomes replayed.
         assert crawler.calls == calls_before + (len(targets) - shard0)
@@ -827,9 +892,7 @@ class TestCheckpointCompaction:
         engine = CrawlEngine(
             crawler, workers=self.WORKERS, shards=self.SHARDS,
             spool_path=out, checkpoint_path=f"{out}.checkpoint",
-            executor=FaultInjectingExecutor(
-                self.WORKERS, (1, 3, 5), partial=True
-            ),
+            executor=FaultInjectingExecutor((1, 3, 5), partial=True),
         )
         with pytest.raises(RuntimeError, match="injected crash"):
             engine.execute(plan)
@@ -1013,7 +1076,7 @@ class TestStreamingReconcileMachinery:
         engine = CrawlEngine(
             medium_crawler, workers=4, shards=8, merge="spool",
             spool_path=out, checkpoint_path=checkpoint,
-            executor=FaultInjectingExecutor(4, (1, 4), partial=True),
+            executor=FaultInjectingExecutor((1, 4), partial=True),
         )
         with pytest.raises(RuntimeError, match="injected crash"):
             engine.execute(plan)

@@ -1,10 +1,10 @@
 """Determinism + resume guarantees, per executor backend.
 
 The engine promises that for a fixed world seed the final JSONL is
-**byte-identical** across ``executor ∈ {serial, thread, process}`` ×
+**byte-identical** across ``executor ∈ {serial, process, distributed}`` ×
 any workers/shards combination × resumed-vs-uninterrupted runs.  This
 module is that promise as a test matrix: CI runs it once per backend
-(``REPRO_EXECUTOR_BACKEND=serial|thread|process``) so a regression in
+(``REPRO_EXECUTOR_BACKEND=serial|process|distributed``) so a regression in
 any one backend fails its own job; locally, with the variable unset,
 every backend runs in one pass.
 """
@@ -17,10 +17,12 @@ from repro.measure import (
     EXECUTOR_BACKENDS,
     CrawlEngine,
     Crawler,
+)
+from repro.measure.instrumentation import EventLog
+from tests.support.faults import (
     FaultInjectingExecutor,
     FaultInjectingProcessExecutor,
 )
-from repro.measure.instrumentation import EventLog
 
 _ENV_BACKEND = os.environ.get("REPRO_EXECUTOR_BACKEND")
 if _ENV_BACKEND is not None and _ENV_BACKEND not in EXECUTOR_BACKENDS:
@@ -55,8 +57,7 @@ def crash_executor(backend, fail_shards):
     """
     if backend == "process":
         return FaultInjectingProcessExecutor(1, fail_shards)
-    workers = 1 if backend == "serial" else WORKERS
-    return FaultInjectingExecutor(workers, fail_shards, partial=True)
+    return FaultInjectingExecutor(fail_shards, partial=True)
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +135,7 @@ class TestBackendDeterminism:
         serial_reference,
     ):
         """Kill part of the run (worker SIGKILL under the process
-        backend, injected crash under threads/serial), resume, and the
+        backend, injected in-process crash otherwise), resume, and the
         final JSONL must equal the uninterrupted serial run's."""
         out = tmp_path / "crashed.jsonl"
         checkpoint = tmp_path / "crashed.jsonl.checkpoint"
@@ -144,7 +145,7 @@ class TestBackendDeterminism:
             executor=crash_executor(backend, fail_shards=(1, 4)),
         )
         # BrokenProcessPool (process) subclasses RuntimeError, like the
-        # thread harness's injected crash.
+        # in-process harness's injected crash.
         with pytest.raises(RuntimeError):
             engine.execute(detection_plan)
         assert checkpoint.exists()
@@ -244,8 +245,8 @@ class TestProcessBackendSpecifics:
         self, tmp_path, small_world
     ):
         """A non-default BannerClick travels in the shard bundle: the
-        process backend must produce the same records as threads, not
-        silently fall back to a default detector."""
+        process backend must produce the same records as the serial
+        in-process run, not silently fall back to a default detector."""
         from repro.bannerclick import BannerClick
 
         ablated = Crawler(
@@ -264,15 +265,15 @@ class TestProcessBackendSpecifics:
         ][:10]
         assert differing, "ablation not observable on any wall domain"
         plan = ablated.plan_detection_crawl(["DE"], differing)
-        thread_out = tmp_path / "thread.jsonl"
+        serial_out = tmp_path / "serial.jsonl"
         make_engine(
-            "thread", ablated, spool_path=thread_out
+            "serial", ablated, spool_path=serial_out
         ).execute(plan)
         process_out = tmp_path / "process.jsonl"
         make_engine(
             "process", ablated, spool_path=process_out
         ).execute(plan)
-        assert process_out.read_bytes() == thread_out.read_bytes()
+        assert process_out.read_bytes() == serial_out.read_bytes()
         # And the stock detector really does record these differently.
         default_out = tmp_path / "default.jsonl"
         make_engine(

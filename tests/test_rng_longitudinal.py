@@ -156,7 +156,7 @@ class TestRunLongitudinal:
         assert all(
             p.detail == {
                 "tasks": 80, "shards": 4, "workers": 2,
-                "backend": "thread", "merge": "memory",
+                "backend": "process", "merge": "memory",
             }
             for p in plans
         )

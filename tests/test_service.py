@@ -235,7 +235,7 @@ class TestServiceCrashResume:
             world=WorldSpec(scale=0.02, seed=7),
             # Many shards so the engine checkpoints per-shard progress
             # long before the wave completes.
-            engine=EngineSpec(workers=2, shards=12, executor="thread"),
+            engine=EngineSpec(workers=2, shards=12, executor="process"),
             multivantage=MultiVantageSpec(months=(0, 2)),
         )
         process, url = self._serve(data_dir)

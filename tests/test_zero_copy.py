@@ -222,7 +222,7 @@ def test_memory_merge_decodes_only_at_the_consumer_boundary(
 def test_resume_replay_stays_zero_copy(tmp_path, zero_copy_plan):
     """Checkpoint replay re-emits serialized outcome lines: a resumed
     spool-merge run decodes nothing in the parent."""
-    from repro.measure import FaultInjectingProcessExecutor
+    from tests.support.faults import FaultInjectingProcessExecutor
 
     crawler, plan = zero_copy_plan
     out = tmp_path / "resumed.jsonl"
