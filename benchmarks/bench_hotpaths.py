@@ -6,19 +6,25 @@ tracked across PRs:
 
 - ``filter_match``   — request decisions against a full-scale list
                        (naive linear scan vs trie/token-indexed engine);
-- ``parse_cache``    — parsing a site body vs cloning its cached parse;
+- ``parse_cache``    — parsing a site body vs a cache miss (one parse
+                       plus a snapshot) vs a cache hit (a rebuild from
+                       the snapshot);
 - ``selector``       — cosmetic-filter style queries, tree walk vs
                        compiled plans + document index;
 - ``end_to_end``     — the §4.5 uBlock-arm measurement (visits/sec)
                        with every hot path off vs on.
 
 The acceptance floors (≥5x filter matching, ≥2x end-to-end uBlock
-visits/sec, byte-identical records) are asserted here, so the bench
-smoke doubles as a regression gate.  A dedicated small world keeps the
-numbers stable regardless of ``REPRO_BENCH_SCALE``.
+visits/sec, a cache miss ≤1.15x a bare parse, byte-identical records)
+are asserted here, so the bench smoke doubles as a regression gate.  A
+dedicated small world keeps the numbers stable regardless of
+``REPRO_BENCH_SCALE``.  ``parse_cache`` keeps its historical
+``clone_ms_per_doc`` key for the time of a cache hit.
 """
 
+import gc
 import json
+import statistics
 import time
 
 from conftest import BENCH_SEED, OUTPUT_DIR, write_artifact
@@ -39,6 +45,8 @@ _WORLD_SCALE = 0.05
 _FULL_LIST_RULES = 20000
 _UBLOCK_DOMAINS = 12
 _UBLOCK_ITERATIONS = 5
+#: A parse-cache miss may cost at most this many bare parses.
+_MISS_RATIO_CEILING = 1.15
 
 _JSON_PATH = OUTPUT_DIR / "BENCH_hotpaths.json"
 
@@ -115,38 +123,70 @@ def test_filter_match_speedup(benchmark):
 
 
 def test_parse_vs_clone(benchmark, bench_world):
-    """Re-tokenizing a site body vs cloning its cached parse."""
+    """Re-tokenizing a site body vs a parse-cache miss vs a cache hit.
+
+    A miss must cost one parse and little else.  Each round times a
+    bare parse and a miss on a fresh cache back to back, in alternating
+    order, so a drifting core slows both sides alike; the median of the
+    per-round miss/parse ratios may be at most ``_MISS_RATIO_CEILING``.
+    The collector is paused for the rounds: both sides leave the same
+    cyclic garbage (a parsed tree links parents and children), and in a
+    loop this regular its collections phase-lock onto one side.  What
+    the collector costs a crawl is measured end to end (``perfbench``).
+    """
     domain = bench_world.crawl_targets[0]
-    request = Request(url=f"https://{domain}/", resource_type="document")
+    url = f"https://{domain}/"
+    request = Request(url=url, resource_type="document")
     visitor = VisitorContext(vp=VANTAGE_POINTS["DE"], visit_id=1)
     body = bench_world.network.fetch(request, visitor).body
     rounds = 200
 
-    started = time.perf_counter()
-    for _ in range(rounds):
-        parse_document(body, url=f"https://{domain}/")
-    parse_elapsed = time.perf_counter() - started
+    parse_document(body, url=url)
+    DocumentCache().parse(body, url)  # warm both paths
+    parse_times, miss_times = [], []
+    gc.disable()
+    try:
+        for index in range(rounds):
+            cold = DocumentCache()
+            for side in ((0, 1) if index % 2 else (1, 0)):
+                started = time.perf_counter()
+                if side:
+                    cold.parse(body, url)
+                    miss_times.append(time.perf_counter() - started)
+                else:
+                    parse_document(body, url=url)
+                    parse_times.append(time.perf_counter() - started)
+    finally:
+        gc.enable()
+    miss_ratio = statistics.median(
+        miss / parse for miss, parse in zip(miss_times, parse_times)
+    )
+    parse_s = statistics.median(parse_times)
 
     cache = DocumentCache()
-    cache.parse(body, f"https://{domain}/")  # prime
+    cache.parse(body, url)  # prime
 
-    def clone_run():
+    def hit_run():
         started = time.perf_counter()
         for _ in range(rounds):
-            cache.parse(body, f"https://{domain}/")
+            cache.parse(body, url)
         return time.perf_counter() - started
 
-    clone_elapsed = benchmark.pedantic(
-        clone_run, rounds=1, iterations=1, warmup_rounds=0
-    )
+    hit_s = benchmark.pedantic(
+        hit_run, rounds=1, iterations=1, warmup_rounds=0
+    ) / rounds
     _update_json("parse_cache", {
         "body_bytes": len(body),
         "rounds": rounds,
-        "parse_ms_per_doc": round(parse_elapsed / rounds * 1000, 4),
-        "clone_ms_per_doc": round(clone_elapsed / rounds * 1000, 4),
-        "speedup": round(parse_elapsed / clone_elapsed, 2),
+        "parse_ms_per_doc": round(parse_s * 1000, 4),
+        "miss_ms_per_doc": round(statistics.median(miss_times) * 1000, 4),
+        "clone_ms_per_doc": round(hit_s * 1000, 4),
+        "speedup": round(parse_s / hit_s, 2),
+        "miss_ratio": round(miss_ratio, 3),
+        "miss_ratio_ceiling": _MISS_RATIO_CEILING,
     })
     assert cache.hits == rounds
+    assert miss_ratio <= _MISS_RATIO_CEILING
 
 
 def test_selector_query_speedup(benchmark, bench_world):

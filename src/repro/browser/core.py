@@ -67,7 +67,8 @@ class Browser:
         #: stream instead so measurements don't depend on scheduling.
         self._visit_ids = visit_ids
         #: Parsed-document cache (None disables).  Identical response
-        #: bodies across visits/VPs/repeats are parsed once and cloned.
+        #: bodies across visits/VPs/repeats are parsed once and rebuilt
+        #: from a cached snapshot.
         self._parse_cache = parse_cache
         self._visitor: Optional[VisitorContext] = None
 

@@ -198,9 +198,9 @@ class Node:
 
         The deep path links children directly instead of going through
         :meth:`append_child` — the clone tree is built from fresh nodes,
-        so the cycle checks and detach bookkeeping there can never fire,
-        and skipping them makes cloning a cached parse several times
-        cheaper than re-parsing (see :mod:`repro.soup.cache`).
+        so the cycle checks and detach bookkeeping there can never fire
+        (the HTML tree builder and :mod:`repro.soup.cache` link fresh
+        nodes the same way).
         """
         copy = self._clone_self()
         if deep:
@@ -282,8 +282,8 @@ class Element(Node):
         #: :meth:`set_attribute` / :meth:`remove_attribute` /
         #: :meth:`add_class` — writing this dict directly skips the
         #: revision bump that invalidates the document's query index
-        #: (only the parser does so, during tree construction, before
-        #: any index can exist).
+        #: (only the parser and the parse cache do so, during tree
+        #: construction, before any index can exist).
         self.attrs: Dict[str, str] = dict(attrs or {})
         self._shadow_root: Optional[ShadowRoot] = None
         self._content_document: Optional[Document] = None

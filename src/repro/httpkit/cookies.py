@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import CookieError
 from repro.urlkit import URL, is_public_suffix, registrable_domain
@@ -92,15 +92,39 @@ def parse_set_cookie(header: str, request_url: URL) -> Cookie:
     Raises :class:`CookieError` for cookies a browser would reject
     (empty names, domains that do not domain-match the request host,
     attempts to set cookies for a public suffix).
+
+    The ``name=value`` pair usually carries a per-visit id and never
+    repeats, but the attribute tail after it does, over and over, for
+    the same host; :func:`_parse_attributes` memoises the tail.
     """
-    parts = header.split(";")
-    name, sep, value = parts[0].partition("=")
+    pair, _, tail = header.partition(";")
+    name, sep, value = pair.partition("=")
     name = name.strip()
     value = value.strip().strip('"')
     if not sep or not name:
         raise CookieError(f"malformed cookie pair in {header!r}")
+    attributes = _parse_attributes(tail, request_url.host)
+    if type(attributes) is str:
+        if attributes is _BAD_MAX_AGE:
+            raise CookieError(f"{_BAD_MAX_AGE} in {header!r}")
+        raise CookieError(attributes)
+    return Cookie(name, value, *attributes)
 
-    domain = request_url.host
+
+#: The rejection reason of a tail with a non-integer Max-Age; its
+#: message quotes the whole header, so it is completed per call.
+_BAD_MAX_AGE = "bad Max-Age"
+
+
+@lru_cache(maxsize=16384)
+def _parse_attributes(tail: str, host: str) -> Union[tuple, str]:
+    """The cookie attributes after the ``name=value`` pair.
+
+    Returns the :class:`Cookie` fields after ``value`` as a tuple, or,
+    for a tail a browser would reject, the reason as a ``str``: the
+    :class:`CookieError` message, or :data:`_BAD_MAX_AGE`.
+    """
+    domain = host
     host_only = True
     path = "/"
     secure = False
@@ -108,20 +132,18 @@ def parse_set_cookie(header: str, request_url: URL) -> Cookie:
     max_age: Optional[int] = None
     same_site = "lax"
 
-    for part in parts[1:]:
+    for part in tail.split(";"):
         attr, _, attr_value = part.partition("=")
         attr = attr.strip().lower()
         attr_value = attr_value.strip()
         if attr == "domain" and attr_value:
             candidate = attr_value.lstrip(".").lower()
             if is_public_suffix(candidate):
-                raise CookieError(
-                    f"cookie domain {candidate!r} is a public suffix"
-                )
-            if not domain_match(request_url.host, candidate):
-                raise CookieError(
+                return f"cookie domain {candidate!r} is a public suffix"
+            if not domain_match(host, candidate):
+                return (
                     f"cookie domain {candidate!r} does not match host "
-                    f"{request_url.host!r}"
+                    f"{host!r}"
                 )
             domain = candidate
             host_only = False
@@ -135,21 +157,11 @@ def parse_set_cookie(header: str, request_url: URL) -> Cookie:
             try:
                 max_age = int(attr_value)
             except ValueError:
-                raise CookieError(f"bad Max-Age in {header!r}") from None
+                return _BAD_MAX_AGE
         elif attr == "samesite" and attr_value:
             same_site = attr_value.lower()
 
-    return Cookie(
-        name=name,
-        value=value,
-        domain=domain,
-        path=path,
-        secure=secure,
-        http_only=http_only,
-        host_only=host_only,
-        max_age=max_age,
-        same_site=same_site,
-    )
+    return (domain, path, secure, http_only, host_only, max_age, same_site)
 
 
 class CookieJar:

@@ -33,7 +33,8 @@ class HotpathConfig:
     #: (off = the linear-scan naive matcher).
     filter_index: bool = True
     #: Parsed-document cache keyed by (body hash, url): repeated visits
-    #: clone a pristine parse instead of re-tokenizing the HTML.
+    #: rebuild a cached snapshot of the parse instead of re-tokenizing
+    #: the HTML (off = parse every body).
     parse_cache: bool = True
     #: Compiled selector plans + per-document tag/id/class indexes
     #: (off = re-parse the selector and walk the whole tree per query).

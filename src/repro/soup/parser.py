@@ -64,10 +64,22 @@ def parse_fragment(html: str) -> List[Node]:
     for token in tokenize(html):
         builder.feed(token)
     builder.finish()
-    children = list(container.children)
+    children = container.children
+    container.children = []
     for child in children:
-        child.detach()
+        child.parent = None
     return children
+
+
+def _link(parent: Node, child: Node) -> None:
+    """Append a freshly built *child* to *parent*.
+
+    The builder only ever appends nodes it has just created, so
+    :meth:`Node.append_child`'s cycle check, detach and revision bump
+    can never apply (the same shortcut :meth:`Node.clone` takes).
+    """
+    child.parent = parent
+    parent.children.append(child)
 
 
 class _TreeBuilder:
@@ -86,7 +98,7 @@ class _TreeBuilder:
             raise AssertionError("fragments have no <html>")
         if self.html is None:
             self.html = Element("html")
-            self.root.append_child(self.html)
+            _link(self.root, self.html)
             self.stack = [self.root, self.html]
         return self.html
 
@@ -102,7 +114,7 @@ class _TreeBuilder:
         self._ensure_head()
         if self.body is None:
             self.body = Element("body")
-            html.append_child(self.body)
+            _link(html, self.body)
         self.body_started = True
         if len(self.stack) < 3 or self.stack[-1] is self.html or self.stack[-1] is self.root:
             self.stack = [self.root, html, self.body]
@@ -137,15 +149,15 @@ class _TreeBuilder:
     # -- handlers ---------------------------------------------------------
     def _insert_leaf(self, node: Node) -> None:
         if self.fragment:
-            self._insertion_point().append_child(node)
+            _link(self._insertion_point(), node)
             return
         if not self.body_started and isinstance(node, Comment):
             # Comments before body go wherever the insertion point is.
-            self._insertion_point().append_child(node)
+            _link(self._insertion_point(), node)
             return
         if self.stack[-1] is self.root or self.stack[-1] is self.html:
             self._ensure_body()
-        self._insertion_point().append_child(node)
+        _link(self._insertion_point(), node)
 
     def _handle_text(self, data: str) -> None:
         if not data:
@@ -156,7 +168,7 @@ class _TreeBuilder:
                 if not data.strip():
                     return
                 self._ensure_body()
-        self._insertion_point().append_child(Text(data))
+        _link(self._insertion_point(), Text(data))
 
     def _handle_start(self, token: StartTag) -> None:
         name = token.name
@@ -177,14 +189,14 @@ class _TreeBuilder:
             if name in _HEAD_ELEMENTS and not self.body_started:
                 head = self._ensure_head()
                 element = Element(name, token.attrs)
-                head.append_child(element)
+                _link(head, element)
                 if name not in VOID_ELEMENTS and not token.self_closing:
                     self.stack.append(element)
                 return
             if name in ("script", "style") and not self.body_started:
                 head = self._ensure_head()
                 element = Element(name, token.attrs)
-                head.append_child(element)
+                _link(head, element)
                 if not token.self_closing:
                     self.stack.append(element)
                 return
@@ -200,7 +212,7 @@ class _TreeBuilder:
                 return
         self._auto_close(name)
         element = Element(name, token.attrs)
-        self._insertion_point().append_child(element)
+        _link(self._insertion_point(), element)
         if name == "iframe" and "srcdoc" in token.attrs:
             inner_html = token.attrs.pop("srcdoc")
             element.attrs.pop("srcdoc", None)

@@ -1,1 +1,2 @@
-"""Test-only helpers: fault-injecting executors and golden scenarios."""
+"""Test-only helpers: fault-injecting executors, golden scenarios and
+reference oracles."""

@@ -4,9 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dom import Document, Element, to_html
-from repro.soup import Soup, make_soup, parse_document, parse_fragment
+from repro.browser.page import Page
+from repro.dom import Document, Element, query_selector_all, to_html
+from repro.soup import (
+    DocumentCache,
+    Soup,
+    make_soup,
+    parse_document,
+    parse_fragment,
+)
 from repro.soup.tokenizer import decode_entities, tokenize, StartTag, TextToken
+from repro.urlkit import parse as parse_url
+from tests.support.trees import assert_linked
 
 
 class TestTokenizer:
@@ -261,3 +270,80 @@ class TestParserProperties:
         doc2 = parse_document(to_html(doc))
         div = next(e for e in doc2.body.elements() if e.tag == "div")
         assert div.get_attribute("data-v") == attr_value
+
+
+_MARKUP_PIECES = (
+    "<div>", "</div>", "<p>", "</p>", "<li>", "<ul>", "</ul>", "<td>", "<tr>",
+    "<table>", "</table>", "<br>", "<img src=a.png>", "<b>", "</b>", "</i>",
+    "text", " ", "<!-- c -->", "<title>t</title>", "<meta charset=utf-8>",
+    "<script>s</script>", "<head>", "</head>", "<body>", "</body>", "<html>",
+    '<template shadowrootmode="open">', '<template shadowrootmode="closed">',
+    "<template>", "</template>", '<iframe srcdoc="&lt;p&gt;in&lt;/p&gt;">',
+    "</iframe>",
+)
+
+
+class TestParserStructure:
+    """The tree builder links nodes directly, bypassing ``append_child``:
+    every node must still sit under exactly the parent that holds it."""
+
+    @given(pieces=st.lists(st.sampled_from(_MARKUP_PIECES), max_size=40))
+    def test_parent_links_match_children(self, pieces):
+        html = "".join(pieces)
+        assert assert_linked(parse_document(html)) >= 1
+        for node in parse_fragment(html):
+            assert node.parent is None
+            assert_linked(node)
+
+    def test_nested_shadow_and_frames_are_linked(self):
+        doc = parse_document(
+            '<div><template shadowrootmode="open"><span>'
+            '<template shadowrootmode="closed"><i>x</i></template></span>'
+            '</template></div><iframe srcdoc="&lt;b&gt;f&lt;/b&gt;"></iframe>'
+        )
+        # document, html, head, body, div, shadow, span, shadow, i, "x",
+        # iframe, and the framed document, html, head, body, b, "f".
+        assert assert_linked(doc) == 17
+
+    def test_fragment_roots_come_back_detached(self):
+        nodes = parse_fragment("<p>a</p>text<!-- c --><div><b>x</b></div>")
+        assert [type(n).__name__ for n in nodes] == [
+            "Element", "Text", "Comment", "Element",
+        ]
+        assert all(n.parent is None for n in nodes)
+        holder = Element("section")
+        for node in nodes:
+            holder.append_child(node)
+        assert to_html(holder) == (
+            "<section><p>a</p>text<!-- c --><div><b>x</b></div></section>"
+        )
+
+    def test_miss_path_query_index_invalidates_on_first_mutation(self):
+        doc = DocumentCache().parse(
+            "<p class=a>1</p><div><p class=a>2</p></div>", "https://x.example/"
+        )
+        assert [p.text_content() for p in query_selector_all(doc, "p.a")] == [
+            "1", "2",
+        ]
+        added = Element("p", {"class": "a"})
+        doc.body.append_child(added)
+        assert query_selector_all(doc, "p.a")[-1] is added
+        doc.body.children[0].remove_attribute("class")
+        assert [p.text_content() for p in query_selector_all(doc, "p.a")] == [
+            "2", "",
+        ]
+
+    def test_miss_path_frame_walk_invalidates_on_first_mutation(self):
+        doc = DocumentCache().parse(
+            '<iframe id=f srcdoc="&lt;iframe&gt;&lt;/iframe&gt;"></iframe>',
+            "https://x.example/",
+        )
+        page = Page(None, parse_url("https://x.example/"), doc)
+        assert len(page.iframes()) == 1
+        assert len(list(page.all_documents())) == 2
+        doc.body.append_child(Element("iframe"))
+        assert len(page.iframes()) == 2
+        # A mutation inside the framed document invalidates too.
+        inner = doc.get_element_by_id("f").content_document
+        inner.body.children[0].content_document = parse_document("<p>deep</p>")
+        assert len(list(page.all_documents())) == 3
