@@ -445,12 +445,14 @@ def _execute_task(
 
 #: Worlds exported by the parent before the pool starts.  Under the
 #: ``fork`` start method workers inherit this populated dict and skip
-#: the rebuild entirely; under ``spawn`` it starts empty and the first
-#: shard of each world pays one deterministic ``build_world``.
+#: the rebuild entirely; under ``spawn`` (and on distributed workers)
+#: it starts empty and the first shard of each world pays one
+#: deterministic build in :func:`_worker_world`.
 _SHARED_WORLDS: Dict[Tuple, object] = {}
 
-#: Per-process world cache keyed by world key, for spawn-started
-#: workers that had to rebuild (fork-started ones use _SHARED_WORLDS).
+#: Per-process world cache keyed by world key, for workers that had to
+#: build (fork-started ones use _SHARED_WORLDS): one build per key per
+#: process, evolved snapshots included.
 _WORKER_WORLDS: Dict[Tuple, object] = {}
 
 #: Run-constant state a worker shares across its shards (world key,
@@ -487,17 +489,25 @@ def _id_stream(base: int) -> Callable[[], int]:
 
 
 def _worker_world(world_key: Tuple, latency: float, latency_mode: str = "virtual"):
-    """The (cached or fork-inherited) world a worker process uses."""
+    """The (cached or fork-inherited) world a worker process uses.
+
+    A miss costs one build: an evolved key ``(seed, scale, months)``
+    builds its snapshot straight from the config, not a baseline world
+    first (the drift reads only the config).
+    """
     world = _SHARED_WORLDS.get(world_key) or _WORKER_WORLDS.get(world_key)
     if world is None:
         # Imported lazily — repro.measure.crawl imports this module.
-        from repro.webgen.evolve import evolve_world
+        from repro.webgen.config import WorldConfig
+        from repro.webgen.evolve import build_evolved_world
         from repro.webgen.world import build_world
 
         seed, scale, evolution = world_key
-        world = build_world(scale=scale, seed=seed)
+        config = WorldConfig(seed=seed, scale=scale)
         if evolution:
-            world, _ = evolve_world(world, months=evolution)
+            world, _ = build_evolved_world(config, months=evolution)
+        else:
+            world = build_world(config)
         _WORKER_WORLDS[world_key] = world
     world.network.latency = latency
     world.network.latency_mode = latency_mode

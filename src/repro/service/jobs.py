@@ -26,6 +26,7 @@ from typing import Dict, List, Optional
 
 from repro.api.spec import RunSpec
 from repro.errors import ReproError
+from repro.measure.storage import atomic_replace
 
 #: Lifecycle: queued -> running -> done | failed | cancelled
 #: (queued jobs may also go straight to cancelled).
@@ -184,14 +185,9 @@ class JobQueue:
 
 def persist_job(jobs_dir: Path, job: Job) -> Path:
     """Durably record *job* (atomic replace, crash-safe)."""
-    jobs_dir.mkdir(parents=True, exist_ok=True)
     path = jobs_dir / f"{job.id}.json"
-    scratch = jobs_dir / f"{job.id}.json.tmp"
-    scratch.write_text(
-        json.dumps(job.to_dict(), indent=2, sort_keys=True),
-        encoding="utf-8",
-    )
-    scratch.replace(path)
+    with atomic_replace(path) as handle:
+        handle.write(json.dumps(job.to_dict(), indent=2, sort_keys=True))
     return path
 
 

@@ -73,6 +73,9 @@ class CampaignService:
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._runner: Optional[threading.Thread] = None
         self._stop = threading.Event()
+        # The HTTP handler threads and the job runner persist the same
+        # job; serialised writes keep them off each other's scratch file.
+        self._persist_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -161,7 +164,8 @@ class CampaignService:
         return job
 
     def _persist(self, job: Job) -> None:
-        persist_job(self.data_dir / "jobs", job)
+        with self._persist_lock:
+            persist_job(self.data_dir / "jobs", job)
 
     def _campaign_dir(self, claimed_id: str) -> Path:
         return self.data_dir / "campaigns" / claimed_id
@@ -211,10 +215,9 @@ class CampaignService:
         except JobCancelled:
             job.state = "cancelled"
         except Exception as error:  # noqa: BLE001 — jobs never kill the service
-            job.state = "failed"
             job.error = f"{type(error).__name__}: {error}"
+            job.state = "failed"
         else:
-            job.state = "done"
             summary = result.summary()
             job.summary = {
                 "record_count": result.record_count,
@@ -223,6 +226,10 @@ class CampaignService:
                 "failures": len(result.failures),
                 "elapsed": result.elapsed,
             }
+            # Handler threads read the job unlocked, state first: the
+            # state is written last so a terminal state comes with its
+            # summary (or error).
+            job.state = "done"
         self._persist(job)
 
     # ------------------------------------------------------------------

@@ -8,10 +8,19 @@ attribute values may be single-quoted, double-quoted or bare.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Union
 
 _RAW_TEXT_ELEMENTS = frozenset({"script", "style"})
+
+#: The close-tag search per raw-text element, run on the original
+#: document: ASCII-only case folding, so no character outside the tag
+#: name can match it and indexes stay the document's own.
+_RAW_TEXT_CLOSE = {
+    name: re.compile(f"</{name}", re.IGNORECASE | re.ASCII)
+    for name in sorted(_RAW_TEXT_ELEMENTS)
+}
 
 _ENTITIES = {
     "amp": "&",
@@ -116,11 +125,12 @@ def tokenize(html: str) -> Iterator[Token]:
     raw_until: str = ""  # closing tag name while inside script/style
     while i < n:
         if raw_until:
-            close = html.lower().find(f"</{raw_until}", i)
-            if close < 0:
+            match = _RAW_TEXT_CLOSE[raw_until].search(html, i)
+            if match is None:
                 if i < n:
                     yield TextToken(html[i:])
                 return
+            close = match.start()
             if close > i:
                 yield TextToken(html[i:close])
             end = html.find(">", close)

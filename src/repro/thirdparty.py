@@ -24,7 +24,7 @@ Kinds
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -175,42 +175,68 @@ def _build_registry() -> Dict[str, ThirdParty]:
 
 REGISTRY: Dict[str, ThirdParty] = _build_registry()
 
+# The accessors below read constants derived from REGISTRY once, at
+# import: nothing in the package, its tests, tools or benchmarks writes
+# to REGISTRY after this point (every other use is a read through
+# these functions), so sorting and partitioning it per call
+# — world generation makes thousands of calls — would redo the same
+# work.  Each accessor still returns a fresh list, so a caller that
+# shuffles or extends its result cannot corrupt the pools.
+_ALL: Tuple[ThirdParty, ...] = tuple(REGISTRY[d] for d in sorted(REGISTRY))
+_BY_KIND: Dict[str, Tuple[ThirdParty, ...]] = {
+    kind: tuple(p for p in _ALL if p.kind == kind)
+    for kind in dict.fromkeys(p.kind for p in _ALL)
+}
+
+
+def _domains(parties) -> Tuple[str, ...]:
+    return tuple(p.domain for p in parties)
+
+
+_AD_DOMAINS = _domains(_BY_KIND["ad"])
+_CDN_DOMAINS = _domains(_BY_KIND["cdn"])
+_TRACKING = _domains(p for p in _ALL if p.in_justdomains)
+_EASYLIST = _domains(p for p in _ALL if p.in_easylist)
+_ANNOYANCES = _domains(p for p in _ALL if p.in_annoyances)
+_CMPS = {
+    listed: _domains(p for p in _BY_KIND["cmp"] if p.in_annoyances == listed)
+    for listed in (True, False)
+}
+
 
 def all_parties() -> List[ThirdParty]:
     """Every third party, in a stable order."""
-    return [REGISTRY[d] for d in sorted(REGISTRY)]
+    return list(_ALL)
 
 
 def by_kind(kind: str) -> List[ThirdParty]:
     """All parties of one kind, in a stable order."""
-    return [p for p in all_parties() if p.kind == kind]
+    return list(_BY_KIND.get(kind, ()))
 
 
 def ad_domains() -> List[str]:
-    return [p.domain for p in by_kind("ad")]
+    return list(_AD_DOMAINS)
 
 
 def cdn_domains() -> List[str]:
-    return [p.domain for p in by_kind("cdn")]
+    return list(_CDN_DOMAINS)
 
 
 def tracking_domains() -> List[str]:
     """Domains the justdomains-style list marks as tracking."""
-    return [p.domain for p in all_parties() if p.in_justdomains]
+    return list(_TRACKING)
 
 
 def easylist_domains() -> List[str]:
-    return [p.domain for p in all_parties() if p.in_easylist]
+    return list(_EASYLIST)
 
 
 def annoyances_domains() -> List[str]:
-    return [p.domain for p in all_parties() if p.in_annoyances]
+    return list(_ANNOYANCES)
 
 
 def cmp_domains(listed: bool = True) -> List[str]:
-    return [
-        p.domain for p in by_kind("cmp") if p.in_annoyances == listed
-    ]
+    return list(_CMPS.get(listed, ()))
 
 
 def serving_host(domain: str) -> str:

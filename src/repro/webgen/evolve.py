@@ -25,6 +25,7 @@ from typing import Dict, List, Set
 
 from repro import thirdparty
 from repro.rng import derive_seed
+from repro.webgen.config import WorldConfig
 from repro.webgen.spec import BannerKind, WallSpec
 from repro.webgen.world import World, build_world
 
@@ -64,17 +65,32 @@ class EvolutionSummary:
 def evolve_world(world: World, *, months: int = 4) -> "tuple[World, EvolutionSummary]":
     """Produce a later snapshot of *world* plus a change summary.
 
-    The evolved world is rebuilt from the same seed and then mutated in
-    place deterministically (seeded from the original seed + months),
-    so the original is left untouched.
+    Only ``world.config`` is read: the snapshot is
+    :func:`build_evolved_world` of that config, a fresh build with the
+    drift applied, so *world* itself is left untouched.
+    """
+    return build_evolved_world(world.config, months=months)
+
+
+def build_evolved_world(
+    config: WorldConfig, *, months: int = 4
+) -> "tuple[World, EvolutionSummary]":
+    """Build the *months*-later snapshot of the world *config* describes.
+
+    One :func:`~repro.webgen.world.build_world` of *config*, then the
+    drift, mutated in place and seeded from the config's seed plus
+    ``"evolve"``/*months*.  A caller that holds only a world key (a
+    process-backend worker) builds an evolved snapshot with this, at
+    the cost of one build rather than a baseline build plus the
+    snapshot's own.
     """
     if months < 1:
         raise ValueError("months must be >= 1")
     # The drift is re-derived from the *baseline* build (the seed plus
     # "evolve"/months), so the snapshot's identity is just `months`.
-    evolved = build_world(config=world.config)
+    evolved = build_world(config=config)
     evolved.evolution_months = months
-    rng = random.Random(derive_seed(world.config.seed, "evolve", months))
+    rng = random.Random(derive_seed(config.seed, "evolve", months))
     summary = EvolutionSummary(months=months)
 
     _grow_smp_rosters(evolved, rng, months, summary)

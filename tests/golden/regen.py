@@ -2,8 +2,10 @@
 
 Run from the repository root::
 
-    PYTHONPATH=src python -m tests.golden.regen
+    PYTHONPATH=src python -m tests.golden.regen [spools] [worlds]
 
+With no argument it rewrites everything; ``spools`` rewrites the spool
+digests and papercheck values, ``worlds`` the world-identity digests.
 The tests never run this script: the stored files are the reference a
 refactor is checked against, so rewrite them only for a change that
 alters output bytes on purpose, and say so in the change log.  Every
@@ -23,6 +25,31 @@ from tests.support import golden
 
 
 def main() -> int:
+    targets = set(sys.argv[1:]) or {"spools", "worlds"}
+    unknown = targets - {"spools", "worlds"}
+    if unknown:
+        print(f"unknown target(s): {sorted(unknown)}", file=sys.stderr)
+        return 2
+    if "worlds" in targets:
+        regen_worlds()
+    if "spools" in targets:
+        return regen_spools()
+    return 0
+
+
+def regen_worlds() -> None:
+    cases = {}
+    for seed, scale, months in golden.WORLD_CASES:
+        key = golden.case_key(seed, scale, months)
+        cases[key] = golden.world_case_digests(seed, scale, months)
+        print(f"{key}: sites {cases[key]['sites']}")
+    golden.dump(golden.WORLDS_FILE, {
+        "evolved_hash_seed": golden.EVOLVED_HASH_SEED, "cases": cases,
+    })
+    print(f"wrote {golden.WORLDS_FILE}")
+
+
+def regen_spools() -> int:
     world = build_world(**golden.WORLD)
     digests = {}
     with tempfile.TemporaryDirectory() as scratch:

@@ -20,8 +20,13 @@ sha256 of the final spool file.  Two regimes appear:
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -34,6 +39,7 @@ from repro.webgen.evolve import evolve_world
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 SPOOLS_FILE = GOLDEN_DIR / "spools.json"
 PAPERCHECK_FILE = GOLDEN_DIR / "papercheck.json"
+WORLDS_FILE = GOLDEN_DIR / "worlds.json"
 
 #: The world every spool scenario runs on.
 WORLD = {"scale": 0.02, "seed": 7}
@@ -204,6 +210,97 @@ def papercheck_measured() -> List[Dict]:
     ]
 
 
+#: World-identity cases: ``(seed, scale, months)``.  The 0.2-scale base
+#: world runs ``make_domain`` deep into saturated stem x suffix
+#: namespaces (its numbered fallback), which the 0.02 spool world
+#: barely touches; months > 0 is an ``evolve_world`` snapshot.
+WORLD_CASES = ((2023, 0.05, 0), (2023, 0.2, 0), (2023, 0.05, 6))
+
+#: ``evolve_world`` samples from lists built by iterating the
+#: ``wall_domains`` set, so an evolved snapshot is only reproducible
+#: under one fixed hash seed; evolved cases are digested in a
+#: subprocess pinned to it.
+EVOLVED_HASH_SEED = "0"
+
+
+def _canonical(value):
+    """A JSON-able form of *value* with every set sorted."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _canonical(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, (set, frozenset)):
+        return sorted(_canonical(v) for v in value)
+    if isinstance(value, (list, tuple)):
+        return [_canonical(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _canonical(v) for k, v in value.items()}
+    return value
+
+
+def _sha(value) -> str:
+    blob = json.dumps(_canonical(value), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def world_digests(world) -> Dict:
+    """sha256 digests of everything that makes up a world's identity:
+    every ``SiteSpec`` (in insertion order), each toplist's entries,
+    the crawl targets, the wall/bait sets, and the SMP rosters."""
+    return {
+        "sites": _sha(list(world.sites.values())),
+        "toplists": {
+            country: _sha(toplist.domains())
+            for country, toplist in sorted(world.toplists.items())
+        },
+        "crawl_targets": _sha(world.crawl_targets),
+        "wall_domains": _sha(sorted(world.wall_domains)),
+        "bait_domains": _sha(sorted(world.bait_domains)),
+        "partner_domains": {
+            name: _sha(platform.partner_domains)
+            for name, platform in sorted(world.platforms.items())
+        },
+        "offlist_partner_domains": _sha(world.offlist_partner_domains),
+    }
+
+
+def case_key(seed: int, scale: float, months: int) -> str:
+    return f"seed={seed} scale={scale} months={months}"
+
+
+def world_case_digests(seed: int, scale: float, months: int) -> Dict:
+    """:func:`world_digests` of one :data:`WORLD_CASES` entry.
+
+    Base worlds are digested in this process; evolved ones in a
+    subprocess with ``PYTHONHASHSEED`` pinned to
+    :data:`EVOLVED_HASH_SEED`.
+    """
+    if not months:
+        return world_digests(build_world(seed=seed, scale=scale))
+    root = Path(__file__).resolve().parent.parent.parent
+    env = dict(os.environ, PYTHONHASHSEED=EVOLVED_HASH_SEED)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    out = subprocess.run(
+        [sys.executable, "-m", "tests.support.golden",
+         str(seed), str(scale), str(months)],
+        env=env, cwd=root, check=True, capture_output=True, text=True,
+    ).stdout
+    return json.loads(out)
+
+
+def _evolved_digests_main(argv: List[str]) -> int:
+    seed, scale, months = int(argv[0]), float(argv[1]), int(argv[2])
+    world, _ = evolve_world(build_world(seed=seed, scale=scale), months=months)
+    print(json.dumps(world_digests(world), sort_keys=True))
+    return 0
+
+
 def load(path: Path) -> Dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
@@ -213,3 +310,7 @@ def dump(path: Path, payload: Dict) -> None:
     path.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+
+
+if __name__ == "__main__":
+    raise SystemExit(_evolved_digests_main(sys.argv[1:]))

@@ -4,8 +4,11 @@ A stored-snapshot check (see ``tests/support/golden.py``): small
 fixed-seed crawl, measurement, campaign, and chaos runs must reproduce
 the sha256 of the final spool recorded in ``tests/golden/spools.json``,
 and the experiment suite on the same world must reproduce the
-``compare_with_paper`` values in ``tests/golden/papercheck.json``.  The files are the reference an
-execution-stack refactor is checked against, not another live code
+``compare_with_paper`` values in ``tests/golden/papercheck.json``.
+World construction itself is pinned by ``tests/golden/worlds.json``:
+digests of every site spec, toplist, and roster of base worlds at
+scales 0.05 and 0.2 and of a six-month evolved snapshot.  The files are
+the reference a refactor is checked against, not another live code
 path; regenerate them only with ``python -m tests.golden.regen``.
 
 CI runs this module once per backend
@@ -55,3 +58,20 @@ def test_papercheck_values_match_golden():
     stored = golden.load(golden.PAPERCHECK_FILE)
     assert stored["world"] == golden.WORLD
     assert golden.papercheck_measured() == stored["rows"]
+
+
+WORLDS = golden.load(golden.WORLDS_FILE)
+
+
+def test_stored_worlds_match_cases():
+    assert WORLDS["evolved_hash_seed"] == golden.EVOLVED_HASH_SEED
+    assert sorted(WORLDS["cases"]) == sorted(
+        golden.case_key(*case) for case in golden.WORLD_CASES
+    )
+
+
+@pytest.mark.parametrize(
+    "case", golden.WORLD_CASES, ids=lambda c: golden.case_key(*c)
+)
+def test_world_digests_match_golden(case):
+    assert golden.world_case_digests(*case) == WORLDS["cases"][golden.case_key(*case)]

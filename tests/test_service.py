@@ -12,6 +12,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from repro.service import (
     ServiceError,
     job_id,
 )
+from repro.service.jobs import load_jobs, persist_job
 
 def crawl_spec(seed=11, **world) -> RunSpec:
     return RunSpec(
@@ -201,6 +203,37 @@ class TestServiceLifecycle:
         client.cancel(job["id"])
         final = client.wait(job["id"], timeout=120)
         assert final["state"] == "cancelled"
+
+
+class TestJobPersistence:
+    def test_concurrent_writers_of_one_job(self, tmp_path):
+        # The HTTP handler and the job runner both persist a job; their
+        # writes must never trip over each other's scratch file.
+        jobs_dir = tmp_path / "jobs"
+        job = TestJobQueue.job(1)
+        errors = []
+        start = threading.Barrier(4)
+
+        def writer():
+            start.wait()
+            try:
+                for _ in range(50):
+                    persist_job(jobs_dir, job)
+            except Exception as error:  # noqa: BLE001 — collected below
+                errors.append(error)
+
+        threads = [threading.Thread(target=writer) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert [path.name for path in jobs_dir.iterdir()] == [
+            f"{job.id}.json"
+        ]
+        assert [loaded.to_dict() for loaded in load_jobs(jobs_dir)] == [
+            job.to_dict()
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,26 @@ class TestTokenizer:
         assert isinstance(tokens[1], TextToken)
         assert tokens[1].data == "if (a<b) {x}"
 
+    def test_raw_text_close_tag_is_case_insensitive(self):
+        tokens = list(tokenize("<script>x=1</SCRIPT><style>a{}</StYlE><b>y</b>"))
+        assert [t.data for t in tokens if isinstance(t, TextToken)] == [
+            "x=1", "a{}", "y",
+        ]
+        assert [type(t).__name__ for t in tokens].count("EndTag") == 3
+
+    def test_raw_text_close_found_when_lowercasing_changes_length(self):
+        # "İ".lower() is two characters, so a search on the lowercased
+        # document would land two characters short of the real "</script".
+        html = "<p>İİİ</p><script>x=1</script><b>y</b>"
+        tokens = list(tokenize(html))
+        assert [t.data for t in tokens if isinstance(t, TextToken)] == [
+            "İİİ", "x=1", "y",
+        ]
+        doc = parse_document(html)
+        script = next(e for e in doc.elements() if e.tag == "script")
+        assert script.text_content() == "x=1"
+        assert "<script>x=1</script>" in to_html(doc)
+
     def test_stray_lt_is_text(self):
         tokens = list(tokenize("1 < 2"))
         text = "".join(t.data for t in tokens if isinstance(t, TextToken))

@@ -248,3 +248,45 @@ class TestThirdPartyRegistry:
         assert len(domains) == len(set(domains))
         for domain in domains:
             assert registrable_domain(domain) == domain
+
+    def test_accessors_equal_filtering_the_sorted_registry(self):
+        # The reference: filter sorted(REGISTRY) on every call.
+        every = [thirdparty.REGISTRY[d] for d in sorted(thirdparty.REGISTRY)]
+        assert thirdparty.all_parties() == every
+        for kind in ("ad", "analytics", "cdn", "social", "cmp", "smp", "none"):
+            assert thirdparty.by_kind(kind) == [p for p in every if p.kind == kind]
+
+        def domains(keep):
+            return [p.domain for p in every if keep(p)]
+
+        assert thirdparty.ad_domains() == domains(lambda p: p.kind == "ad")
+        assert thirdparty.cdn_domains() == domains(lambda p: p.kind == "cdn")
+        assert thirdparty.tracking_domains() == domains(lambda p: p.in_justdomains)
+        assert thirdparty.easylist_domains() == domains(lambda p: p.in_easylist)
+        assert thirdparty.annoyances_domains() == domains(lambda p: p.in_annoyances)
+        for listed in (True, False):
+            assert thirdparty.cmp_domains(listed=listed) == domains(
+                lambda p: p.kind == "cmp" and p.in_annoyances == listed
+            )
+        assert thirdparty.cmp_domains() == thirdparty.cmp_domains(listed=True)
+
+    @pytest.mark.parametrize("accessor", [
+        thirdparty.all_parties,
+        lambda: thirdparty.by_kind("ad"),
+        thirdparty.ad_domains,
+        thirdparty.cdn_domains,
+        thirdparty.tracking_domains,
+        thirdparty.easylist_domains,
+        thirdparty.annoyances_domains,
+        lambda: thirdparty.cmp_domains(listed=True),
+        lambda: thirdparty.cmp_domains(listed=False),
+    ])
+    def test_each_call_returns_a_fresh_list(self, accessor):
+        first = accessor()
+        assert isinstance(first, list)
+        expected = list(first)
+        first.reverse()
+        first.append("mutated")
+        second = accessor()
+        assert second is not first
+        assert second == expected
